@@ -16,7 +16,7 @@ of phi (such as the origin of a scaling) can rejoin the space.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -59,13 +59,9 @@ class DegeneracyWitness:
     achieved_form_value: float
 
     def flattened(self) -> np.ndarray:
-        """Coefficients in the coordinate-major layout used by ``gram``."""
-        n = len(self.points)
-        out = np.zeros(2 * n, dtype=np.complex128)
-        for mu, vec in enumerate(self.coefficients):
-            out[mu] = vec[0]
-            out[n + mu] = vec[1]
-        return out
+        """Coefficients in the coordinate-major layout used by ``gram``:
+        entry i*n + mu holds coordinate i of the vector at point mu."""
+        return np.asarray(self.coefficients, dtype=np.complex128).T.ravel()
 
 
 def _grid(base: ScalarKernel, phi: SymmetryMap) -> tuple[tuple[ScalarKernel, ...], ...]:
@@ -177,12 +173,9 @@ def witness(cex: CounterexampleKernel, x, tol: float = RESID_TOL) -> DegeneracyW
             points = (x, fx)
             coefficients = ((1 + 0j, 0j), (0j, -1 + 0j))
 
+    w = DegeneracyWitness(points=points, coefficients=coefficients, achieved_form_value=0.0)
     matrix = gram(cex.as_matrix, points)
-    n = len(points)
-    flat = np.zeros(2 * n, dtype=np.complex128)
-    for mu, vec in enumerate(coefficients):
-        flat[mu] = vec[0]
-        flat[n + mu] = vec[1]
+    flat = w.flattened()
     value = quadratic_form(matrix, flat)
     verdict = classify(matrix)
     norm_sq = float(np.vdot(flat, flat).real)
@@ -190,4 +183,4 @@ def witness(cex: CounterexampleKernel, x, tol: float = RESID_TOL) -> DegeneracyW
         raise WitnessFailed(
             f"witness form value {value:.3e} exceeds {tol:.1e} * scale {verdict.scale:.3e}"
         )
-    return DegeneracyWitness(points=points, coefficients=coefficients, achieved_form_value=value)
+    return replace(w, achieved_form_value=value)

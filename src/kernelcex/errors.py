@@ -75,3 +75,7 @@ class TooLarge(KernelCexError):
 
 class ConfigError(KernelCexError):
     """A suite configuration is invalid; the message names the field."""
+
+
+class NonFiniteValue(KernelCexError):
+    """A point, matrix or kernel value holds NaN or an infinity."""

@@ -46,9 +46,10 @@ from .kernels import (
     check_adjoint_invariance,
     check_unitary_invariance,
     gram,
+    pair_values,
     project,
 )
-from .numcore import PDKind, classify
+from .numcore import PDKind, classify, classify_many
 from .spaces import (
     Circle,
     ComplexSphere,
@@ -108,25 +109,34 @@ class SuiteConfig:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         kwargs = {k: v for k, v in data.items() if k in known}
         if "group" in kwargs and kwargs["group"] is not None:
-            kwargs["group"] = tuple(int(q) for q in kwargs["group"])
+            group = kwargs["group"]
+            if not isinstance(group, (list, tuple)) or not all(_is_int(q) for q in group):
+                raise ConfigError(f"group: must be a list of integers, got {group!r}")
+            kwargs["group"] = tuple(group)
         cfg = cls(**kwargs)
         cfg.validate()
         return cfg
 
     def validate(self) -> None:
-        if self.suite not in SUITES:
+        if not isinstance(self.suite, str) or self.suite not in SUITES:
             raise ConfigError(f"suite: unknown suite {self.suite!r}; see list-suites")
-        if not isinstance(self.seed, int):
+        if not _is_int(self.seed):
             raise ConfigError("seed: must be an integer")
         for name in ("n_points", "trials", "projection_trials", "m_max", "probes",
                      "orbit_instances", "spectra"):
-            if getattr(self, name) < 1:
+            value = getattr(self, name)
+            if not _is_int(value):
+                raise ConfigError(f"{name}: must be an integer, got {value!r}")
+            if value < 1:
                 raise ConfigError(f"{name}: must be at least 1")
-        for name in ("pd_tol", "resid_tol", "strict_tol"):
-            if getattr(self, name) <= 0:
+        for name in ("pd_tol", "resid_tol", "strict_tol", "min_sep", "radius"):
+            value = getattr(self, name)
+            if value is None and name in ("min_sep", "radius"):
+                continue
+            if not _is_real(value):
+                raise ConfigError(f"{name}: must be a finite number, got {value!r}")
+            if value <= 0:
                 raise ConfigError(f"{name}: must be positive")
-        if self.min_sep is not None and self.min_sep <= 0:
-            raise ConfigError("min_sep: must be positive")
         if self.group is not None:
             if any(q < 2 for q in self.group):
                 raise ConfigError("group: every cyclic order must be at least 2")
@@ -134,6 +144,14 @@ class SuiteConfig:
                 raise ConfigError(
                     f"n_points: {self.n_points} exceeds the group order {math.prod(self.group)}"
                 )
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
 
 @dataclass
@@ -239,19 +257,18 @@ def _sample_merged(
     generator state.
     """
     include = [space.canonicalize(p) for p in include]
-
-    def merged_of(pts):
-        merged = list(include) + pts
-        if phi is not None:
-            for p in include + pts:
-                img = phi.apply(p)
-                if space.distance(img, p) > min_sep:
-                    merged.append(img)
-        return merged
+    include_images = [] if phi is None else [phi.apply(p) for p in include]
+    include_images = [
+        img for img, p in zip(include_images, include) if space.distance(img, p) > min_sep
+    ]
 
     total_attempts = 0
     while True:
+        # The merged set (placed points and their images) is kept as one
+        # stack that grows by each accepted candidate and its image.
         pts: list = []
+        images = list(include_images)
+        merged = space.stack(include + images)
         stuck = False
         while len(pts) < n:
             placed = False
@@ -264,15 +281,17 @@ def _sample_merged(
                 cand = space.canonicalize(_draw(space, rng, radius))
                 if min_norm > 0.0 and float(np.linalg.norm(np.atleast_1d(cand))) <= min_norm:
                     continue
-                others = merged_of(pts)
-                cands = [cand]
-                if phi is not None:
-                    img = phi.apply(cand)
-                    if space.distance(img, cand) <= min_sep:
-                        continue
-                    cands.append(img)
-                if all(space.distance(c, o) > min_sep for c in cands for o in others):
+                cands = [cand] if phi is None else [cand, phi.apply(cand)]
+                new = np.asarray(cands)
+                # One distance matrix tests the candidate and its image
+                # against the merged set, and the image against the
+                # candidate; the candidate's distance to itself is masked.
+                dist = space.distances(new, np.concatenate([merged, new[:1]]))
+                dist[0, -1] = np.inf
+                if dist.min() > min_sep:
                     pts.append(cand)
+                    images += cands[1:]
+                    merged = np.concatenate([merged, new])
                     placed = True
                     break
             if not placed:
@@ -281,10 +300,10 @@ def _sample_merged(
         if stuck:
             continue
         if cond_kernel is not None:
-            eigvals = np.linalg.eigvalsh(gram(cond_kernel, merged_of(pts)).symmetrized())
+            eigvals = np.linalg.eigvalsh(gram(cond_kernel, include + pts + images).symmetrized())
             if eigvals[0] < _CONDITIONING_FLOOR * eigvals[-1]:
                 continue
-        return list(include) + pts
+        return include + pts
 
 
 def _projection_vectors(rng: np.random.Generator, ell: int, count: int) -> list[np.ndarray]:
@@ -329,10 +348,7 @@ def _witness_record(cfg: SuiteConfig, cex, x, name="degeneracy-witness") -> Chec
     matrix = gram(cex.as_matrix, w.points)
     verdict = classify(matrix, cfg.pd_tol)
     n = len(w.points)
-    flat = np.zeros(2 * n, dtype=np.complex128)
-    for mu, vec in enumerate(w.coefficients):
-        flat[mu] = vec[0]
-        flat[n + mu] = vec[1]
+    flat = w.flattened()
     annih = float(np.linalg.norm(matrix.entries @ flat)) / float(np.linalg.norm(flat))
     angle = _null_alignment_angle(verdict, flat)
     passed = (
@@ -371,6 +387,7 @@ def _projection_strictness_record(
     total = 0
     definite = 0
     worst_ratio = math.inf
+    ell = cex.as_matrix.ell
     for t in range(cfg.trials):
         pts = _sample_merged(
             cex.as_matrix.space,
@@ -383,14 +400,19 @@ def _projection_strictness_record(
             min_norm=min_norm,
             cond_kernel=cex.base,
         )
-        vectors = _projection_vectors(_rng(cfg, 12, t), cex.as_matrix.ell, cfg.projection_trials)
-        for v in vectors:
-            verdict = classify(gram(project(cex.as_matrix, v), pts), cfg.pd_tol)
-            total += 1
-            if verdict.is_positive_definite:
-                definite += 1
-            if verdict.scale > 0:
-                worst_ratio = min(worst_ratio, verdict.min_eigenvalue / verdict.scale)
+        vectors = np.array(_projection_vectors(_rng(cfg, 12, t), ell, cfg.projection_trials))
+        # Every projection Gram is a sesquilinear contraction of one blocked
+        # Gram: G_v[a, b] = sum_ij conj(v_i) v_j G[i, a, j, b].
+        n = len(pts)
+        blocked = gram(cex.as_matrix, pts).entries.reshape(ell, n, ell, n)
+        grams = np.einsum("vi,iajb,vj->vab", vectors.conj(), blocked, vectors)
+        verdicts = classify_many(grams, cfg.pd_tol)
+        total += len(vectors)
+        definite += verdicts.kinds.count(PDKind.POSITIVE_DEFINITE)
+        scaled = verdicts.scales > 0
+        if scaled.any():
+            ratios = verdicts.min_eigenvalues[scaled] / verdicts.scales[scaled]
+            worst_ratio = min(worst_ratio, float(np.min(ratios)))
     return _rec(
         name,
         claim,
@@ -839,19 +861,20 @@ def _suite_embed(cfg: SuiteConfig) -> list[CheckRecord]:
     padded = embed(cex.as_matrix, 3, base)
     rng = _rng(cfg, 51)
     pairs = _probe_pairs(space, rng, 16)
+    X = space.stack([x for x, _ in pairs])
+    Y = space.stack([y for _, y in pairs])
+
+    def worst_diff(k1, k2) -> float:
+        return float(np.max(np.abs(pair_values(k1, X, Y) - pair_values(k2, X, Y))))
 
     worst_match = 0.0
     for _ in range(30):
         v2 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         v3 = np.concatenate([v2, [0.0]])
-        p2 = project(cex.as_matrix, v2)
-        p3 = project(padded, v3)
-        for x, y in pairs:
-            worst_match = max(worst_match, abs(p2.eval(x, y) - p3.eval(x, y)))
+        worst_match = max(worst_match, worst_diff(project(cex.as_matrix, v2), project(padded, v3)))
 
     e3 = np.array([0.0, 0.0, 1.0], dtype=np.complex128)
-    filler_proj = project(padded, e3)
-    worst_filler = max(abs(filler_proj.eval(x, y) - base.eval(x, y)) for x, y in pairs)
+    worst_filler = worst_diff(project(padded, e3), base)
 
     x0 = 0.0
     wpts = [x0, phi.apply(x0)]

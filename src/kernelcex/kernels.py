@@ -3,8 +3,19 @@
 The scalar catalog covers the circle kernel exp(cos(theta - vartheta)), the
 Gaussian exp(-sigma ||x - y||^2), the exponential dot-product kernel, the
 torus product kernel, and synthesized kernels on finite abelian groups.
-Matrix-valued kernels are stored as a grid of scalar kernels, so scalar
-projections reduce to sesquilinear combinations of grid entries.
+
+Every kernel has one evaluation path, ``block(X, Y)``: given two stacks of
+canonical points (``Space.stack``) of lengths n and m, it returns the n x m
+matrix of kernel values in one vectorised step. The leaf kernels write their
+formula once, on stacks; ``Composed`` maps each stack once with
+``SymmetryMap.apply_many``; ``OffsetKernel`` and ``ZeroKernel`` shift or
+replace a block. A matrix kernel is a grid of scalar kernels, and its block
+is the grid of entry blocks in coordinate-major layout, so a scalar
+projection K_v is the sesquilinear combination sum_ij conj(v_i) v_j of
+entry blocks. Pointwise ``eval`` is ``block`` on one-point stacks, and
+``gram`` is ``block`` of a stack with itself after one distinctness check.
+Non-finite kernel values (an overflowing exponential, say) raise
+``NonFiniteValue``.
 """
 
 from __future__ import annotations
@@ -16,15 +27,23 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DimensionMismatch,
     DuplicatePoints,
     MissingAdjoint,
+    NonFiniteValue,
     SpaceMismatch,
     ZeroVector,
 )
 from .numcore import RESID_TOL, HermitianMatrix
-from .spaces import Circle, ComplexSphere, Euclidean, FiniteAbelian, Space, pairwise_distinct
+from .spaces import Circle, ComplexSphere, Euclidean, FiniteAbelian, Space
 from .symmetry import SymmetryMap
+
+
+def _finite(values: np.ndarray) -> np.ndarray:
+    if not np.isfinite(values).all():
+        raise NonFiniteValue("kernel values overflowed or are undefined (NaN or infinity)")
+    return values
 
 
 class ScalarKernel:
@@ -32,8 +51,13 @@ class ScalarKernel:
 
     space: Space
 
-    def eval(self, x, y) -> complex:
+    def block(self, X, Y) -> np.ndarray:
+        """Kernel values k(X[a], Y[b]) for two stacks of canonical points."""
         raise NotImplementedError
+
+    def eval(self, x, y) -> complex:
+        values = self.block(self.space.stack([x]), self.space.stack([y]))
+        return complex(_finite(values)[0, 0])
 
     def __call__(self, x, y) -> complex:
         return self.eval(x, y)
@@ -45,10 +69,8 @@ class CircleExpCos(ScalarKernel):
 
     space: Circle
 
-    def eval(self, x, y) -> complex:
-        x = self.space.canonicalize(x)
-        y = self.space.canonicalize(y)
-        return complex(math.exp(math.cos(x - y)))
+    def block(self, X, Y) -> np.ndarray:
+        return np.exp(np.cos(X[:, None] - Y[None, :]))
 
 
 @dataclass(frozen=True)
@@ -59,12 +81,18 @@ class Gaussian(ScalarKernel):
     sigma: float = 1.0
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+        try:
+            valid = math.isfinite(self.sigma) and self.sigma > 0
+        except TypeError:
+            valid = False
+        if not valid:
+            raise ConfigError(f"sigma: must be a positive finite number, got {self.sigma!r}")
 
-    def eval(self, x, y) -> complex:
-        d = self.space.canonicalize(x) - self.space.canonicalize(y)
-        return complex(math.exp(-self.sigma * float(d @ d)))
+    def block(self, X, Y) -> np.ndarray:
+        # Differences rather than |x|^2 + |y|^2 - 2<x, y>, which cancels
+        # catastrophically for nearby points.
+        d = X[:, None, :] - Y[None, :, :]
+        return np.exp(-self.sigma * np.einsum("abk,abk->ab", d, d))
 
 
 @dataclass(frozen=True)
@@ -84,11 +112,11 @@ class DotExp(ScalarKernel):
         if not isinstance(self.space, (Euclidean, ComplexSphere)):
             raise SpaceMismatch("DotExp needs an inner-product space")
 
-    def eval(self, x, y) -> complex:
-        xc = self.space.canonicalize(x)
-        yc = self.space.canonicalize(y)
-        inner = float(np.vdot(yc, xc).real)
-        return complex(math.exp(self.scale * inner) + self.shift)
+    def block(self, X, Y) -> np.ndarray:
+        inner = (X @ Y.conj().T).real
+        # An overflow becomes inf here and NonFiniteValue at the caller.
+        with np.errstate(over="ignore"):
+            return np.exp(self.scale * inner) + self.shift
 
 
 @dataclass(frozen=True)
@@ -105,9 +133,11 @@ class TorusProduct(ScalarKernel):
         if not isinstance(self.space, (Circle, Euclidean)):
             raise SpaceMismatch("TorusProduct needs angle-like coordinates")
 
-    def eval(self, x, y) -> complex:
-        dx = np.atleast_1d(self.space.canonicalize(x)) - np.atleast_1d(self.space.canonicalize(y))
-        return complex(np.prod(2.0 / (2.0 - np.exp(1j * dx))))
+    def block(self, X, Y) -> np.ndarray:
+        X = X.reshape(len(X), -1)
+        Y = Y.reshape(len(Y), -1)
+        d = X[:, None, :] - Y[None, :, :]
+        return np.prod(2.0 / (2.0 - np.exp(1j * d)), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -139,11 +169,14 @@ class GroupFourier(ScalarKernel):
         table = character_table(self.space)
         return np.asarray(self.coefficients) @ table
 
-    def eval(self, x, y) -> complex:
-        xc = self.space.canonicalize(x)
-        yc = self.space.canonicalize(y)
-        diff = tuple((a - b) % q for a, b, q in zip(xc, yc, self.space.orders))
-        return complex(self._difference_table[self.space.index_of(diff)])
+    def block(self, X, Y) -> np.ndarray:
+        # Lexicographic index of x - y, built one coordinate at a time so
+        # that no (n, m, r) temporary is needed; k(x, y) = psi(x - y).
+        index = np.zeros((len(X), len(Y)), dtype=np.intp)
+        for r, q in enumerate(self.space.orders):
+            index *= q
+            index += (X[:, r, None] - Y[None, :, r]) % q
+        return self._difference_table[index]
 
 
 @dataclass(frozen=True)
@@ -163,10 +196,10 @@ class Composed(ScalarKernel):
     def space(self) -> Space:
         return self.base.space
 
-    def eval(self, x, y) -> complex:
-        xm = self.left.apply(x) if self.left is not None else x
-        ym = self.right.apply(y) if self.right is not None else y
-        return self.base.eval(xm, ym)
+    def block(self, X, Y) -> np.ndarray:
+        X = self.left.apply_many(X) if self.left is not None else X
+        Y = self.right.apply_many(Y) if self.right is not None else Y
+        return self.base.block(X, Y)
 
 
 @dataclass(frozen=True)
@@ -180,16 +213,16 @@ class OffsetKernel(ScalarKernel):
     def space(self) -> Space:
         return self.base.space
 
-    def eval(self, x, y) -> complex:
-        return self.base.eval(x, y) + self.offset
+    def block(self, X, Y) -> np.ndarray:
+        return self.base.block(X, Y) + self.offset
 
 
 @dataclass(frozen=True)
 class ZeroKernel(ScalarKernel):
     space: Space
 
-    def eval(self, x, y) -> complex:
-        return 0j
+    def block(self, X, Y) -> np.ndarray:
+        return np.zeros((len(X), len(Y)))
 
 
 @dataclass(frozen=True)
@@ -212,12 +245,12 @@ class MatrixKernel:
                     raise SpaceMismatch("all grid entries must live on the same space")
         object.__setattr__(self, "entries", grid)
 
+    def block(self, X, Y) -> np.ndarray:
+        """The (ell n) x (ell m) matrix whose block (i, j) is entry (i, j)'s block."""
+        return np.block([[entry.block(X, Y) for entry in row] for row in self.entries])
+
     def eval(self, x, y) -> np.ndarray:
-        out = np.empty((self.ell, self.ell), dtype=np.complex128)
-        for i in range(self.ell):
-            for j in range(self.ell):
-                out[i, j] = self.entries[i][j].eval(x, y)
-        return out
+        return _finite(self.block(self.space.stack([x]), self.space.stack([y]))).astype(np.complex128)
 
     def __call__(self, x, y) -> np.ndarray:
         return self.eval(x, y)
@@ -243,9 +276,11 @@ class ProjectedKernel(ScalarKernel):
         vec.setflags(write=False)
         return vec
 
-    def eval(self, x, y) -> complex:
-        vec = self._vec
-        return complex(np.vdot(vec, self.matrix.eval(x, y) @ vec))
+    def block(self, X, Y) -> np.ndarray:
+        # sum_ij conj(v_i) v_j K_ij(X, Y), contracted from the grid's block.
+        ell = self.matrix.ell
+        blocked = self.matrix.block(X, Y).reshape(ell, len(X), ell, len(Y))
+        return np.einsum("i,iajb,j->ab", self._vec.conj(), blocked, self._vec)
 
 
 def eval_scalar(kernel: ScalarKernel, x, y) -> complex:
@@ -272,28 +307,14 @@ def gram(kernel, points) -> HermitianMatrix:
     Scalar kernels give an n x n matrix. Matrix kernels give an
     (ell n) x (ell n) matrix in coordinate-major block layout: row index
     i*n + mu holds coordinate i at point mu, so block (i, j) is the n x n
-    Gram of grid entry (i, j).
+    Gram of grid entry (i, j). Raises ``NonFiniteValue`` when a kernel
+    value is NaN or infinite.
     """
-    pts = list(points)
     space = kernel.space
-    if not pairwise_distinct(space, pts):
+    X = space.stack(points)
+    if not space.all_distinct(X):
         raise DuplicatePoints("gram needs pairwise distinct points")
-    n = len(pts)
-    if isinstance(kernel, MatrixKernel):
-        ell = kernel.ell
-        out = np.empty((ell * n, ell * n), dtype=np.complex128)
-        for i in range(ell):
-            for j in range(ell):
-                entry = kernel.entries[i][j]
-                for mu in range(n):
-                    for nu in range(n):
-                        out[i * n + mu, j * n + nu] = entry.eval(pts[mu], pts[nu])
-        return HermitianMatrix(out)
-    out = np.empty((n, n), dtype=np.complex128)
-    for mu in range(n):
-        for nu in range(n):
-            out[mu, nu] = kernel.eval(pts[mu], pts[nu])
-    return HermitianMatrix(out)
+    return HermitianMatrix(_finite(kernel.block(X, X)))
 
 
 @dataclass(frozen=True)
@@ -311,29 +332,38 @@ class InvarianceEvidence:
         return self.max_residual <= self.tol * self.scale
 
 
-def _eval_any(kernel, x, y) -> np.ndarray:
-    if isinstance(kernel, MatrixKernel):
-        return kernel.eval(x, y)
-    return np.asarray([[kernel.eval(x, y)]])
+def pair_values(kernel, X, Y) -> np.ndarray:
+    """K(X[p], Y[p]) for every row p of two equally long point stacks, as a
+    (P, ell, ell) array (ell = 1 for a scalar kernel)."""
+    grid = kernel.entries if isinstance(kernel, MatrixKernel) else ((kernel,),)
+    values = np.array([[np.diagonal(entry.block(X, Y)) for entry in row] for row in grid])
+    return _finite(np.moveaxis(values, -1, 0))
+
+
+def _largest_norm(values: np.ndarray) -> float:
+    return float(np.max(np.linalg.norm(values, axis=(1, 2)), initial=0.0))
+
+
+def _probe_stacks(kernel, maps, probes):
+    space = kernel.space
+    for phi in maps:
+        if phi.space != space:
+            raise SpaceMismatch("maps must act on the kernel's space")
+    return space.stack([x for x, _ in probes]), space.stack([y for _, y in probes])
 
 
 def check_unitary_invariance(kernel, maps, probes, tol: float = RESID_TOL) -> InvarianceEvidence:
     """Measure max ||K(phi(x), phi(y)) - K(x, y)|| over probe pairs."""
-    space = kernel.space
     maps = list(maps)
     probes = list(probes)
-    for phi in maps:
-        if phi.space != space:
-            raise SpaceMismatch("maps must act on the kernel's space")
+    X, Y = _probe_stacks(kernel, maps, probes)
+    base = pair_values(kernel, X, Y)
+    scale = _largest_norm(base)
     max_resid = 0.0
-    scale = 0.0
-    for x, y in probes:
-        base = _eval_any(kernel, x, y)
-        scale = max(scale, float(np.linalg.norm(base)))
-        for phi in maps:
-            moved = _eval_any(kernel, phi.apply(x), phi.apply(y))
-            scale = max(scale, float(np.linalg.norm(moved)))
-            max_resid = max(max_resid, float(np.linalg.norm(moved - base)))
+    for phi in maps:
+        moved = pair_values(kernel, phi.apply_many(X), phi.apply_many(Y))
+        scale = max(scale, _largest_norm(moved))
+        max_resid = max(max_resid, _largest_norm(moved - base))
     return InvarianceEvidence(
         max_residual=max_resid, scale=scale, tol=tol, n_probes=len(probes), n_maps=len(maps)
     )
@@ -341,22 +371,19 @@ def check_unitary_invariance(kernel, maps, probes, tol: float = RESID_TOL) -> In
 
 def check_adjoint_invariance(kernel, maps, probes, tol: float = RESID_TOL) -> InvarianceEvidence:
     """Measure max ||K(x, phi(y)) - K(phi*(x), y)|| over probe pairs."""
-    space = kernel.space
     maps = list(maps)
     probes = list(probes)
+    X, Y = _probe_stacks(kernel, maps, probes)
     for phi in maps:
-        if phi.space != space:
-            raise SpaceMismatch("maps must act on the kernel's space")
         if phi.adjoint is None:
             raise MissingAdjoint(f"{phi.action_kind} carries no involution partner")
     max_resid = 0.0
     scale = 0.0
-    for x, y in probes:
-        for phi in maps:
-            left = _eval_any(kernel, x, phi.apply(y))
-            right = _eval_any(kernel, phi.adjoint.apply(x), y)
-            scale = max(scale, float(np.linalg.norm(left)), float(np.linalg.norm(right)))
-            max_resid = max(max_resid, float(np.linalg.norm(left - right)))
+    for phi in maps:
+        left = pair_values(kernel, X, phi.apply_many(Y))
+        right = pair_values(kernel, phi.adjoint.apply_many(X), Y)
+        scale = max(scale, _largest_norm(left), _largest_norm(right))
+        max_resid = max(max_resid, _largest_norm(left - right))
     return InvarianceEvidence(
         max_residual=max_resid, scale=scale, tol=tol, n_probes=len(probes), n_maps=len(maps)
     )

@@ -2,7 +2,10 @@
 
 All thresholds are relative to the spectral scale of the matrix at hand
 (largest absolute eigenvalue), because Gram entries of the kernel catalog
-span several orders of magnitude. Everything here is pure and safe to use
+span several orders of magnitude. ``classify`` decides one matrix and
+returns null vectors; ``classify_many`` applies the same rules to a stack
+of matrices with one batched eigenvalue call. Non-finite entries are
+rejected rather than classified. Everything here is pure and safe to use
 from concurrent workers.
 """
 
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonHermitianInput, SolverError
+from .errors import DimensionMismatch, NonFiniteValue, NonHermitianInput, SolverError
 
 PD_TOL = 1e-9
 HERM_TOL = 1e-12
@@ -33,22 +36,15 @@ class HermitianMatrix:
 
     Kernel evaluation introduces rounding asymmetry, so the constructor
     accepts matrices whose asymmetry stays below ``herm_tol`` relative to
-    the largest entry magnitude. Entries are stored read-only.
+    the largest entry magnitude. NaN and infinite entries are rejected.
+    Entries are stored read-only.
     """
 
     entries: np.ndarray
     herm_tol: float = HERM_TOL
 
     def __post_init__(self):
-        arr = np.array(self.entries, dtype=np.complex128)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
-            raise DimensionMismatch(f"expected a square matrix, got shape {arr.shape}")
-        entry_scale = float(np.max(np.abs(arr))) if arr.size else 0.0
-        asym = float(np.max(np.abs(arr - arr.conj().T)))
-        if asym > self.herm_tol * max(entry_scale, 1e-300):
-            raise NonHermitianInput(
-                f"asymmetry {asym:.3e} exceeds {self.herm_tol:.1e} * scale {entry_scale:.3e}"
-            )
+        arr = _checked_stack(self.entries, 2, self.herm_tol)
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
 
@@ -57,7 +53,7 @@ class HermitianMatrix:
         return self.entries.shape[0]
 
     def symmetrized(self) -> np.ndarray:
-        return 0.5 * (self.entries + self.entries.conj().T)
+        return _symmetrized(self.entries)
 
 
 @dataclass(frozen=True)
@@ -82,6 +78,39 @@ class PDVerdict:
     @property
     def is_degenerate(self) -> bool:
         return self.kind is PDKind.POSITIVE_SEMIDEFINITE_DEGENERATE
+
+
+def _checked_stack(matrices, ndim: int, herm_tol: float) -> np.ndarray:
+    """Square complex matrices (ndim 2) or a stack of them (ndim 3), each
+    finite and Hermitian up to ``herm_tol`` times its largest entry."""
+    arr = np.array(matrices, dtype=np.complex128)
+    if arr.ndim != ndim or arr.shape[-1] != arr.shape[-2] or arr.shape[-1] < 1:
+        raise DimensionMismatch(f"expected {'a stack of ' if ndim == 3 else 'a '}square "
+                                f"matrix, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise NonFiniteValue("matrix has NaN or infinite entries")
+    entry_scale = np.max(np.abs(arr), axis=(-2, -1), initial=0.0)
+    asym = np.max(np.abs(arr - np.swapaxes(arr, -2, -1).conj()), axis=(-2, -1), initial=0.0)
+    bad = np.ravel(asym > herm_tol * np.maximum(entry_scale, 1e-300))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise NonHermitianInput(
+            f"asymmetry {np.ravel(asym)[i]:.3e} exceeds {herm_tol:.1e} * scale "
+            f"{np.ravel(entry_scale)[i]:.3e}"
+        )
+    return arr
+
+
+def _symmetrized(arr: np.ndarray) -> np.ndarray:
+    return 0.5 * (arr + np.swapaxes(arr, -2, -1).conj())
+
+
+def _kind(min_eig: float, cutoff: float) -> PDKind:
+    if min_eig > cutoff:
+        return PDKind.POSITIVE_DEFINITE
+    if min_eig < -cutoff:
+        return PDKind.INDEFINITE
+    return PDKind.POSITIVE_SEMIDEFINITE_DEGENERATE
 
 
 def _coerce(matrix) -> HermitianMatrix:
@@ -120,22 +149,56 @@ def classify(matrix, tol: float = PD_TOL) -> PDVerdict:
     cutoff = tol * scale
     min_eig = float(eigvals[0])
     rank = int(np.count_nonzero(np.abs(eigvals) > cutoff))
-
-    if min_eig > cutoff:
-        kind = PDKind.POSITIVE_DEFINITE
-        null = np.zeros((mat.dim, 0), dtype=np.complex128)
-    elif min_eig < -cutoff:
-        kind = PDKind.INDEFINITE
-        null = np.zeros((mat.dim, 0), dtype=np.complex128)
-    else:
-        kind = PDKind.POSITIVE_SEMIDEFINITE_DEGENERATE
+    kind = _kind(min_eig, cutoff)
+    if kind is PDKind.POSITIVE_SEMIDEFINITE_DEGENERATE:
         null = eigvecs[:, np.abs(eigvals) <= cutoff]
+    else:
+        null = np.zeros((mat.dim, 0), dtype=np.complex128)
     return PDVerdict(
         kind=kind,
         min_eigenvalue=min_eig,
         numeric_rank=rank,
         null_vectors=null,
         scale=scale,
+    )
+
+
+@dataclass(frozen=True)
+class BatchVerdict:
+    """Verdicts for a stack of Hermitian matrices, one entry per matrix.
+
+    The rules are those of ``classify``; null vectors are not computed.
+    """
+
+    kinds: tuple[PDKind, ...]
+    min_eigenvalues: np.ndarray
+    numeric_ranks: np.ndarray
+    scales: np.ndarray
+
+
+def classify_many(matrices, tol: float = PD_TOL) -> BatchVerdict:
+    """Classify a stack of Hermitian matrices of one size.
+
+    Each matrix is checked and symmetrized as by ``HermitianMatrix`` and
+    ``classify``, and every eigenvalue threshold is ``tol`` times that
+    matrix's own spectral scale. One batched ``eigvalsh`` call replaces a
+    decomposition per matrix.
+    """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    arr = _checked_stack(matrices, 3, HERM_TOL)
+    try:
+        eigvals = np.linalg.eigvalsh(_symmetrized(arr))
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(str(exc)) from exc
+    scales = np.max(np.abs(eigvals), axis=1)
+    cutoffs = tol * scales
+    min_eigs = eigvals[:, 0]
+    return BatchVerdict(
+        kinds=tuple(_kind(m, c) for m, c in zip(min_eigs.tolist(), cutoffs.tolist())),
+        min_eigenvalues=min_eigs,
+        numeric_ranks=np.count_nonzero(np.abs(eigvals) > cutoffs[:, None], axis=1),
+        scales=scales,
     )
 
 

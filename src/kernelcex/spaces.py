@@ -4,7 +4,11 @@ Four spaces are supported: the unit circle (points are angles in
 ``[-pi, pi)``), Euclidean space, the unit sphere of complex q-space, and
 finite products of cyclic groups. Points are plain values (float, real
 array, complex array, integer tuple); the space objects own canonical
-forms, metrics, and equality.
+forms, metrics, and equality. ``Space.stack`` turns a point list into one
+array of canonical points (``(n,)`` angles, ``(n, d)`` coordinates or
+``(n, r)`` group elements), and ``Space.distances`` measures every pair of
+two such stacks at once; the vectorised kernels and the sampler work on
+stacks.
 """
 
 from __future__ import annotations
@@ -15,7 +19,13 @@ from itertools import product
 
 import numpy as np
 
-from .errors import ExhaustedSampling, SpaceMismatch, TooManyPoints, WrongSpaceKind
+from .errors import (
+    ExhaustedSampling,
+    NonFiniteValue,
+    SpaceMismatch,
+    TooManyPoints,
+    WrongSpaceKind,
+)
 
 EQ_TOL = 1e-9
 MIN_SEP = 1e-3
@@ -24,8 +34,16 @@ UNIT_NORM_TOL = 1e-12
 _TWO_PI = 2.0 * math.pi
 
 
-def _wrap_angle(a: float) -> float:
+def _wrap_angle(a):
+    """Wrap an angle, or an array of angles, into [-pi, pi)."""
     return (a + math.pi) % _TWO_PI - math.pi
+
+
+def _as_array(points, dtype, what: str) -> np.ndarray:
+    try:
+        return np.asarray(points, dtype=dtype)
+    except (TypeError, ValueError) as exc:
+        raise SpaceMismatch(f"not a list of {what}") from exc
 
 
 @dataclass(frozen=True)
@@ -35,8 +53,25 @@ class Space:
     def canonicalize(self, x):
         raise NotImplementedError
 
+    def stack(self, points) -> np.ndarray:
+        """Canonical forms of the points stacked along axis 0.
+
+        Every point is validated once, with the same rules (and the same
+        canonical values) as ``canonicalize``.
+        """
+        raise NotImplementedError
+
     def distance(self, x, y) -> float:
         raise NotImplementedError
+
+    def distances(self, X, Y) -> np.ndarray:
+        """Distance matrix between two stacks of canonical points."""
+        raise NotImplementedError
+
+    def all_distinct(self, X) -> bool:
+        """True iff no two points of a stack coincide within ``eq_tol``."""
+        close = self.distances(X, X) <= self.eq_tol
+        return not np.triu(close, 1).any()
 
     def points_equal(self, x, y) -> bool:
         return self.distance(x, y) <= self.eq_tol
@@ -51,12 +86,26 @@ class Circle(Space):
 
     def canonicalize(self, x) -> float:
         try:
-            return _wrap_angle(float(x))
+            angle = float(x)
         except (TypeError, ValueError) as exc:
             raise SpaceMismatch(f"not a circle angle: {x!r}") from exc
+        if not math.isfinite(angle):
+            raise NonFiniteValue(f"non-finite circle angle {x!r}")
+        return _wrap_angle(angle)
+
+    def stack(self, points) -> np.ndarray:
+        arr = _as_array(points, np.float64, "circle angles")
+        if arr.ndim != 1:
+            raise SpaceMismatch(f"expected a list of circle angles, got shape {arr.shape}")
+        if not np.isfinite(arr).all():
+            raise NonFiniteValue("non-finite angle in the point list")
+        return _wrap_angle(arr)
 
     def distance(self, x, y) -> float:
         return abs(_wrap_angle(self.canonicalize(x) - self.canonicalize(y)))
+
+    def distances(self, X, Y) -> np.ndarray:
+        return np.abs(_wrap_angle(X[:, None] - Y[None, :]))
 
     def random_point(self, rng: np.random.Generator) -> float:
         return float(rng.uniform(-math.pi, math.pi))
@@ -75,11 +124,20 @@ class Euclidean(Space):
         arr = np.asarray(x, dtype=np.float64)
         if arr.shape != (self.dim,):
             raise SpaceMismatch(f"expected a vector of length {self.dim}, got {x!r}")
+        if not all(map(math.isfinite, arr.tolist())):
+            raise NonFiniteValue(f"non-finite coordinates in {x!r}")
         return arr
+
+    def stack(self, points) -> np.ndarray:
+        return _stack_vectors(self, points, np.float64)
 
     def distance(self, x, y) -> float:
         d = self.canonicalize(x) - self.canonicalize(y)
         return math.sqrt(float(d @ d))
+
+    def distances(self, X, Y) -> np.ndarray:
+        d = X[:, None, :] - Y[None, :, :]
+        return np.sqrt(np.einsum("abk,abk->ab", d, d))
 
     def random_point(self, rng: np.random.Generator) -> np.ndarray:
         return rng.standard_normal(self.dim)
@@ -100,14 +158,28 @@ class ComplexSphere(Space):
         arr = np.asarray(x, dtype=np.complex128)
         if arr.shape != (self.dim,):
             raise SpaceMismatch(f"expected a complex vector of length {self.dim}, got {x!r}")
-        norm = math.sqrt(float(np.vdot(arr, arr).real))
+        norm_sq = float(np.vdot(arr, arr).real)
+        if not math.isfinite(norm_sq) and not np.isfinite(arr).all():
+            raise NonFiniteValue(f"non-finite coordinates in {x!r}")
+        norm = math.sqrt(norm_sq)
         if abs(norm - 1.0) > UNIT_NORM_TOL:
             raise SpaceMismatch(f"point norm {norm} is not 1 within {UNIT_NORM_TOL}")
+        return arr
+
+    def stack(self, points) -> np.ndarray:
+        arr = _stack_vectors(self, points, np.complex128)
+        norms = np.sqrt(np.einsum("ak,ak->a", arr.conj(), arr).real)
+        if (np.abs(norms - 1.0) > UNIT_NORM_TOL).any():
+            raise SpaceMismatch(f"a point norm is not 1 within {UNIT_NORM_TOL}")
         return arr
 
     def distance(self, x, y) -> float:
         d = self.canonicalize(x) - self.canonicalize(y)
         return math.sqrt(float(np.vdot(d, d).real))
+
+    def distances(self, X, Y) -> np.ndarray:
+        d = X[:, None, :] - Y[None, :, :]
+        return np.sqrt(np.einsum("abk,abk->ab", d.conj(), d).real)
 
     def random_point(self, rng: np.random.Generator) -> np.ndarray:
         v = rng.standard_normal(self.dim) + 1j * rng.standard_normal(self.dim)
@@ -142,14 +214,25 @@ class FiniteAbelian(Space):
             x = (int(x),)
         try:
             coords = tuple(int(c) for c in x)
-        except (TypeError, ValueError) as exc:
-            raise SpaceMismatch(f"not a group element: {x!r}") from exc
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise _bad_group_element(x) from exc
         if len(coords) != len(self.orders):
             raise SpaceMismatch(f"expected {len(self.orders)} coordinates, got {x!r}")
         return tuple(c % q for c, q in zip(coords, self.orders))
 
+    def stack(self, points) -> np.ndarray:
+        elements = [self.canonicalize(p) for p in points]
+        return np.array(elements, dtype=np.int64).reshape(len(elements), len(self.orders))
+
     def distance(self, x, y) -> float:
         return 0.0 if self.canonicalize(x) == self.canonicalize(y) else 1.0
+
+    def distances(self, X, Y) -> np.ndarray:
+        # Coordinate by coordinate, so no (n, m, r) temporary is built.
+        differ = np.zeros((len(X), len(Y)), dtype=bool)
+        for r in range(len(self.orders)):
+            differ |= X[:, r, None] != Y[None, :, r]
+        return differ.astype(np.float64)
 
     def points_equal(self, x, y) -> bool:
         return self.canonicalize(x) == self.canonicalize(y)
@@ -168,18 +251,36 @@ class FiniteAbelian(Space):
         return tuple(int(rng.integers(q)) for q in self.orders)
 
 
+def _bad_group_element(x) -> Exception:
+    """The error for a value that ``int`` could not turn into coordinates."""
+    try:
+        non_finite = any(isinstance(c, float) and not math.isfinite(c) for c in x)
+    except TypeError:
+        non_finite = False
+    if non_finite:
+        return NonFiniteValue(f"non-finite group coordinate in {x!r}")
+    return SpaceMismatch(f"not a group element: {x!r}")
+
+
+def _stack_vectors(space, points, dtype) -> np.ndarray:
+    arr = _as_array(points, dtype, f"vectors of length {space.dim}")
+    if arr.size == 0:
+        arr = arr.reshape(0, space.dim)
+    if arr.ndim != 2 or arr.shape[1] != space.dim:
+        raise SpaceMismatch(f"expected a list of vectors of length {space.dim}, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise NonFiniteValue("non-finite coordinates in the point list")
+    return arr
+
+
 def points_equal(space: Space, x, y) -> bool:
     """True iff the two points coincide within the space's tolerance."""
     return space.points_equal(x, y)
 
 
 def pairwise_distinct(space: Space, points) -> bool:
-    pts = list(points)
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if space.points_equal(pts[i], pts[j]):
-                return False
-    return True
+    """True iff no two of the points coincide within the space's tolerance."""
+    return space.all_distinct(space.stack(points))
 
 
 def sample_distinct(space: Space, n: int, min_sep: float = MIN_SEP, seed=None) -> list:

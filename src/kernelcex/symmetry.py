@@ -42,6 +42,11 @@ class SymmetryMap:
     def apply(self, x):
         raise NotImplementedError
 
+    def apply_many(self, points) -> np.ndarray:
+        """Images of a point list as one stack (see ``Space.stack``); row i
+        holds the canonical value of ``apply(points[i])``."""
+        raise NotImplementedError
+
     def _inverse(self) -> "SymmetryMap":
         raise NotImplementedError(f"{self.action_kind} has no inverse action")
 
@@ -75,6 +80,9 @@ class CircleRotation(SymmetryMap):
     def apply(self, x):
         return self.space.canonicalize(self.space.canonicalize(x) + self.angle)
 
+    def apply_many(self, points) -> np.ndarray:
+        return self.space.stack(self.space.stack(points) + self.angle)
+
     def _inverse(self):
         return CircleRotation(self.space, -self.angle, self.adjoint_kind)
 
@@ -107,6 +115,9 @@ class EuclideanTranslation(SymmetryMap):
     def apply(self, x):
         return self.space.canonicalize(x) + self._offset_arr
 
+    def apply_many(self, points) -> np.ndarray:
+        return self.space.stack(points) + self._offset_arr
+
     def _inverse(self):
         return EuclideanTranslation(self.space, tuple(-c for c in self.offset), self.adjoint_kind)
 
@@ -128,6 +139,9 @@ class EuclideanScaling(SymmetryMap):
 
     def apply(self, x):
         return self.ratio * self.space.canonicalize(x)
+
+    def apply_many(self, points) -> np.ndarray:
+        return self.ratio * self.space.stack(points)
 
     def _inverse(self):
         if self.ratio == 0.0:
@@ -156,6 +170,11 @@ class ComplexSphereRotation(SymmetryMap):
         moved = np.exp(1j * self.angle) * self.space.canonicalize(x)
         return moved / math.sqrt(float(np.vdot(moved, moved).real))
 
+    def apply_many(self, points) -> np.ndarray:
+        moved = np.exp(1j * self.angle) * self.space.stack(points)
+        norms = np.sqrt(np.einsum("ak,ak->a", moved.conj(), moved).real)
+        return moved / norms[:, None]
+
     def _inverse(self):
         return ComplexSphereRotation(self.space, -self.angle, self.adjoint_kind)
 
@@ -179,6 +198,9 @@ class GroupTranslation(SymmetryMap):
     def apply(self, x):
         coords = self.space.canonicalize(x)
         return tuple((c + g) % q for c, g, q in zip(coords, self.element, self.space.orders))
+
+    def apply_many(self, points) -> np.ndarray:
+        return (self.space.stack(points) + np.asarray(self.element)) % np.asarray(self.space.orders)
 
     def _inverse(self):
         inv = tuple((-g) % q for g, q in zip(self.element, self.space.orders))
@@ -244,13 +266,7 @@ def check_aperiodic(phi: SymmetryMap, probes, m_max: int) -> AperiodicityEvidenc
 
 def check_injective_on(phi: SymmetryMap, points) -> bool:
     """True iff the images of the (distinct) points are pairwise distinct."""
-    space = phi.space
-    images = [phi.apply(p) for p in points]
-    for i in range(len(images)):
-        for j in range(i + 1, len(images)):
-            if points_equal(space, images[i], images[j]):
-                return False
-    return True
+    return phi.space.all_distinct(phi.apply_many(points))
 
 
 def check_center(phi: SymmetryMap, generators, probes) -> CenterEvidence:
@@ -314,17 +330,18 @@ def orbit_decompose(phi: SymmetryMap, points) -> OrbitDecomposition:
     if n == 0:
         raise ValueError("points must be nonempty")
     images = [phi.apply(p) for p in pts]
+    image_stack = space.stack(images)
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            if points_equal(space, images[i], images[j]):
-                raise InjectivityViolation(
-                    f"points at indices {i} and {j} share an image"
-                )
+    shared = np.argwhere(np.triu(space.distances(image_stack, image_stack) <= space.eq_tol, 1))
+    if len(shared):
+        i, j = shared[0]
+        raise InjectivityViolation(f"points at indices {i} and {j} share an image")
 
+    # hits[mu, nu]: the image of point mu coincides with point nu.
+    hits = space.distances(image_stack, space.stack(pts)) <= space.eq_tol
     tau: dict[int, int] = {}
-    for mu, img in enumerate(images):
-        matches = [nu for nu, p in enumerate(pts) if points_equal(space, img, p)]
+    for mu in range(n):
+        matches = np.flatnonzero(hits[mu]).tolist()
         if len(matches) > 1:
             raise InjectivityViolation(
                 f"image of index {mu} matches several input points {matches}; "

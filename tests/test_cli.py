@@ -142,3 +142,17 @@ def test_fourier_group_mismatch_exits_2(tmp_path, capsys):
 
 def test_missing_file_exits_2(capsys):
     assert main(["gram", "--kernel", "/nonexistent.json", "--points", "/nope.json"]) == 2
+
+
+def test_gram_with_non_positive_sigma_exits_2(tmp_path, capsys):
+    kernel = {"form": "gaussian", "space": {"kind": "euclidean", "dim": 2}, "sigma": -1.0}
+    kernel_file = _write(tmp_path, "kernel.json", kernel)
+    points_file = _write(tmp_path, "points.json", [[0.0, 0.0], [1.0, 0.0]])
+    assert main(["gram", "--kernel", kernel_file, "--points", points_file]) == 2
+    assert "sigma" in capsys.readouterr().err
+
+
+def test_verify_config_with_mistyped_field_exits_2(tmp_path, capsys):
+    config = _write(tmp_path, "cfg.json", {"n_points": "x"})
+    assert main(["verify", "circle-example1", "--config", config]) == 2
+    assert "n_points" in capsys.readouterr().err

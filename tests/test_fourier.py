@@ -191,3 +191,18 @@ def test_matrix_roundtrip():
     back = analyze(values, group)
     np.testing.assert_allclose(back.coefficients, spectrum.coefficients, atol=1e-10)
     assert back.analysis_residual < 1e-12
+
+
+def test_strict_criterion_honours_strict_tol_for_matrix_spectra():
+    stack = np.array([np.diag([1.0, 1e-11]), np.eye(2)])
+    spectrum = FourierSpectrum(group=Z2, coefficients=stack)
+    assert strict_criterion(spectrum, strict_tol=1e-13)
+    assert not strict_criterion(spectrum, strict_tol=1e-10)
+
+
+@pytest.mark.parametrize("orders", [(5,), (2, 3, 4), (4, 4)])
+def test_character_table_equals_character_entrywise(orders):
+    group = FiniteAbelian(orders)
+    elems = group.elements()
+    want = np.array([[character(g, x, group) for x in elems] for g in elems])
+    np.testing.assert_array_equal(character_table(group), want)
