@@ -42,8 +42,6 @@ from .kernels import (
     ZeroKernel,
     check_adjoint_invariance,
     check_unitary_invariance,
-    eval_matrix,
-    eval_scalar,
     gram,
     project,
 )
@@ -55,7 +53,6 @@ from .spaces import (
     FiniteAbelian,
     Space,
     group_elements,
-    points_equal,
     sample_distinct,
 )
 from .symmetry import (
@@ -66,7 +63,6 @@ from .symmetry import (
     GroupTranslation,
     OrbitDecomposition,
     SymmetryMap,
-    apply,
     check_aperiodic,
     check_center,
     check_injective_on,

@@ -14,9 +14,11 @@ import numpy as np
 
 from .errors import ConfigError, KernelCexError
 from .harness import SuiteConfig, emit_report, list_suites, run_suite
+from .kernels import gram
 from .numcore import classify
 from .serialize import (
     SCHEMA_VERSION,
+    complex_from_json,
     complex_to_json,
     kernel_from_json,
     map_from_json,
@@ -35,8 +37,20 @@ def _load_json(path: str):
         return json.load(fh)
 
 
+def _load_points(path: str, space) -> list:
+    """A point list file: a JSON list, or an object with a "points" list."""
+    raw = _load_json(path)
+    if isinstance(raw, dict):
+        raw = raw.get("points")
+    if not isinstance(raw, list):
+        raise ConfigError(f"{path}: expected a list of points or an object with a 'points' list")
+    return [point_from_json(space, p) for p in raw]
+
+
 def _cmd_verify(args) -> int:
     data = _load_json(args.config) if args.config else {}
+    if not isinstance(data, dict):
+        raise ConfigError(f"{args.config}: expected a JSON object of SuiteConfig fields")
     data["suite"] = args.suite
     if args.seed is not None:
         data["seed"] = args.seed
@@ -54,13 +68,7 @@ def _cmd_list_suites(_args) -> int:
 
 def _cmd_gram(args) -> int:
     kernel = kernel_from_json(_load_json(args.kernel))
-    raw_points = _load_json(args.points)
-    if isinstance(raw_points, dict):
-        raw_points = raw_points["points"]
-    points = [point_from_json(kernel.space, p) for p in raw_points]
-    from .kernels import gram as gram_of
-
-    matrix = gram_of(kernel, points)
+    matrix = gram(kernel, _load_points(args.points, kernel.space))
     verdict = classify(matrix)
     out = {
         "schema_version": SCHEMA_VERSION,
@@ -83,11 +91,7 @@ def _cmd_gram(args) -> int:
 
 def _cmd_orbit(args) -> int:
     phi = map_from_json(_load_json(args.map))
-    raw_points = _load_json(args.points)
-    if isinstance(raw_points, dict):
-        raw_points = raw_points["points"]
-    points = [point_from_json(phi.space, p) for p in raw_points]
-    decomposition = orbit_decompose(phi, points)
+    decomposition = orbit_decompose(phi, _load_points(args.points, phi.space))
     print(json.dumps(orbit_to_json(phi.space, decomposition), indent=2, sort_keys=True))
     return 0
 
@@ -105,8 +109,10 @@ def _cmd_fourier(args) -> int:
 
     group = _parse_group(args.group)
     data = _load_json(args.input)
+    if not isinstance(data, (list, dict)):
+        raise ConfigError(f"{args.input}: expected a JSON list or object")
     if args.mode == "analyze":
-        values = np.asarray([complex(*v) if isinstance(v, list) else complex(v) for v in data])
+        values = np.asarray([complex_from_json(v) for v in data])
         spectrum = analyze(values, group)
         print(json.dumps(spectrum_to_json(spectrum), indent=2, sort_keys=True))
         return 0

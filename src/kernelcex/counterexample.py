@@ -29,7 +29,6 @@ from .errors import (
 )
 from .kernels import Composed, MatrixKernel, OffsetKernel, ScalarKernel, ZeroKernel, gram
 from .numcore import RESID_TOL, classify, quadratic_form
-from .spaces import points_equal
 from .symmetry import SymmetryMap
 
 
@@ -65,6 +64,8 @@ class DegeneracyWitness:
 
 
 def _grid(base: ScalarKernel, phi: SymmetryMap) -> tuple[tuple[ScalarKernel, ...], ...]:
+    if phi.space != base.space:
+        raise SpaceMismatch("map and kernel must share a space")
     return (
         (Composed(base, phi, phi), Composed(base, phi, None)),
         (Composed(base, None, phi), base),
@@ -73,19 +74,16 @@ def _grid(base: ScalarKernel, phi: SymmetryMap) -> tuple[tuple[ScalarKernel, ...
 
 def build_unitary(base: ScalarKernel, phi: SymmetryMap) -> CounterexampleKernel:
     """Grid kernel for a map that commutes with the invariance semigroup."""
-    if phi.space != base.space:
-        raise SpaceMismatch("map and kernel must share a space")
     matrix = MatrixKernel(space=base.space, ell=2, entries=_grid(base, phi))
     return CounterexampleKernel(base=base, map=phi, variant=Variant.UNITARY, as_matrix=matrix)
 
 
 def build_adjoint(base: ScalarKernel, phi: SymmetryMap) -> CounterexampleKernel:
     """Grid kernel in the adjoint-invariance setting; phi needs a partner."""
-    if phi.space != base.space:
-        raise SpaceMismatch("map and kernel must share a space")
+    grid = _grid(base, phi)
     if phi.adjoint is None:
         raise MissingAdjoint("the adjoint variant needs a map with an involution partner")
-    matrix = MatrixKernel(space=base.space, ell=2, entries=_grid(base, phi))
+    matrix = MatrixKernel(space=base.space, ell=2, entries=grid)
     return CounterexampleKernel(base=base, map=phi, variant=Variant.ADJOINT, as_matrix=matrix)
 
 
@@ -95,15 +93,13 @@ def build_shifted(base: ScalarKernel, phi: SymmetryMap, origin) -> Counterexampl
     Requires phi(origin) == origin; the added constant restores
     invertibility of the kernel value at the fixed point.
     """
-    if phi.space != base.space:
-        raise SpaceMismatch("map and kernel must share a space")
+    grid = _grid(base, phi)
     space = base.space
     origin = space.canonicalize(origin)
-    if not points_equal(space, phi.apply(origin), origin):
+    if not space.points_equal(phi.apply(origin), origin):
         raise OriginNotFixed("the map must fix the origin of the shifted construction")
     at_origin = base.eval(origin, origin)
     offset = float(at_origin.real)
-    grid = _grid(base, phi)
     shifted = (
         (OffsetKernel(grid[0][0], offset), grid[0][1]),
         (grid[1][0], OffsetKernel(grid[1][1], offset)),
@@ -157,16 +153,16 @@ def witness(cex: CounterexampleKernel, x, tol: float = RESID_TOL) -> DegeneracyW
     x = space.canonicalize(x)
     phi = cex.map
     if cex.variant is Variant.SHIFTED_ADJOINT:
-        if points_equal(space, x, cex.origin):
+        if space.points_equal(x, cex.origin):
             raise ValueError("the shifted witness needs a point distinct from the origin")
         fx = phi.apply(x)
-        if points_equal(space, fx, x) or points_equal(space, fx, cex.origin):
+        if space.points_equal(fx, x) or space.points_equal(fx, cex.origin):
             raise ValueError("the map collapses the witness triple; choose another point")
         points = (cex.origin, x, fx)
         coefficients = ((-1 + 0j, 1 + 0j), (1 + 0j, 0j), (0j, -1 + 0j))
     else:
         fx = phi.apply(x)
-        if points_equal(space, x, fx):
+        if space.points_equal(x, fx):
             points = (x,)
             coefficients = ((1 + 0j, -1 + 0j),)
         else:

@@ -50,13 +50,13 @@ from .kernels import (
     project,
 )
 from .numcore import PDKind, classify, classify_many
+from .serialize import SCHEMA_VERSION
 from .spaces import (
     Circle,
     ComplexSphere,
     Euclidean,
     FiniteAbelian,
     Space,
-    points_equal,
     sample_distinct,
 )
 from .symmetry import (
@@ -70,8 +70,6 @@ from .symmetry import (
     check_injective_on,
     orbit_decompose,
 )
-
-SCHEMA_VERSION = 1
 
 # Merged point sets (samples together with their images) must stay this far
 # apart so that Gram conditioning reflects the constructed degeneracies and
@@ -211,14 +209,6 @@ class SuiteReport:
 
 def _rng(cfg: SuiteConfig, *key: int) -> np.random.Generator:
     return np.random.default_rng((cfg.seed,) + key)
-
-
-def _default_sep(space: Space) -> float:
-    if isinstance(space, Circle):
-        return _CIRCLE_SEP
-    if isinstance(space, ComplexSphere):
-        return _SPHERE_SEP
-    return _EUCLIDEAN_SEP
 
 
 def _draw(space: Space, rng: np.random.Generator, radius: float | None):
@@ -649,13 +639,13 @@ def _orbit_oracle(phi: SymmetryMap, pts):
     tau = {}
     for mu in range(n):
         for nu in range(n):
-            if points_equal(space, images[mu], pts[nu]):
+            if space.points_equal(images[mu], pts[nu]):
                 F.append(mu)
                 tau[mu] = nu
                 break
     merged = []
     for cand in list(images) + list(pts):
-        if not any(points_equal(space, cand, q) for q in merged):
+        if not any(space.points_equal(cand, q) for q in merged):
             merged.append(cand)
     return F, tau, merged
 
@@ -713,8 +703,8 @@ def _suite_orbit(cfg: SuiteConfig) -> list[CheckRecord]:
             and dec.tau == tau
             and dec.m + 2 * dec.p == len(merged)
             and len(dec.z_points) == len(merged)
-            and all(any(points_equal(space, z, q) for q in merged) for z in dec.z_points)
-            and all(any(points_equal(space, q, z) for z in dec.z_points) for q in merged)
+            and all(any(space.points_equal(z, q) for q in merged) for z in dec.z_points)
+            and all(any(space.points_equal(q, z) for z in dec.z_points) for q in merged)
         )
         if not ok:
             mismatches += 1

@@ -59,9 +59,6 @@ class ScalarKernel:
         values = self.block(self.space.stack([x]), self.space.stack([y]))
         return complex(_finite(values)[0, 0])
 
-    def __call__(self, x, y) -> complex:
-        return self.eval(x, y)
-
 
 @dataclass(frozen=True)
 class CircleExpCos(ScalarKernel):
@@ -252,12 +249,6 @@ class MatrixKernel:
     def eval(self, x, y) -> np.ndarray:
         return _finite(self.block(self.space.stack([x]), self.space.stack([y]))).astype(np.complex128)
 
-    def __call__(self, x, y) -> np.ndarray:
-        return self.eval(x, y)
-
-    def project(self, v) -> "ProjectedKernel":
-        return project(self, v)
-
 
 @dataclass(frozen=True)
 class ProjectedKernel(ScalarKernel):
@@ -281,14 +272,6 @@ class ProjectedKernel(ScalarKernel):
         ell = self.matrix.ell
         blocked = self.matrix.block(X, Y).reshape(ell, len(X), ell, len(Y))
         return np.einsum("i,iajb,j->ab", self._vec.conj(), blocked, self._vec)
-
-
-def eval_scalar(kernel: ScalarKernel, x, y) -> complex:
-    return kernel.eval(x, y)
-
-
-def eval_matrix(kernel: MatrixKernel, x, y) -> np.ndarray:
-    return kernel.eval(x, y)
 
 
 def project(kernel: MatrixKernel, v) -> ProjectedKernel:

@@ -225,9 +225,4 @@ def quadratic_form(matrix, coefficients) -> float:
 
 def numeric_rank(matrix, tol: float = PD_TOL) -> int:
     """Count eigenvalues whose magnitude exceeds ``tol`` times the scale."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    mat = _coerce(matrix)
-    eigvals, _ = _eigh(mat)
-    scale = float(np.max(np.abs(eigvals)))
-    return int(np.count_nonzero(np.abs(eigvals) > tol * scale))
+    return classify(matrix, tol).numeric_rank

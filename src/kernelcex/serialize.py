@@ -3,10 +3,15 @@
 Complex numbers are encoded as [re, im] pairs, complex matrices as nested
 arrays of such pairs. Points follow the space convention: a circle angle is
 a bare number, a Euclidean point an array, a complex-sphere point an array
-of [re, im] pairs, a group element an integer array.
+of [re, im] pairs, a group element an integer array. A map's parameters are
+its dataclass fields. Every ``*_from_json`` decoder fails closed: a
+malformed document raises ``ConfigError``, never a bare exception.
 """
 
 from __future__ import annotations
+
+import dataclasses
+import functools
 
 import numpy as np
 
@@ -45,12 +50,38 @@ from .symmetry import (
 
 SCHEMA_VERSION = 1
 
+_MAP_CLASSES = {
+    cls.action_kind: cls
+    for cls in (
+        CircleRotation,
+        EuclideanTranslation,
+        EuclideanScaling,
+        ComplexSphereRotation,
+        GroupTranslation,
+    )
+}
+
+
+def _decoder(fn):
+    """Report a malformed document as a ``ConfigError`` naming the decoder; a
+    missing key or a mistyped value raises one of the exceptions caught here."""
+
+    @functools.wraps(fn)
+    def decode(*args):
+        try:
+            return fn(*args)
+        except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
+            raise ConfigError(f"{fn.__name__}: malformed input ({type(exc).__name__}: {exc})") from exc
+
+    return decode
+
 
 def complex_to_json(z: complex) -> list[float]:
     z = complex(z)
     return [z.real, z.imag]
 
 
+@_decoder
 def complex_from_json(v) -> complex:
     if isinstance(v, (int, float)):
         return complex(v)
@@ -63,6 +94,7 @@ def matrix_to_json(matrix) -> list:
     return [[complex_to_json(z) for z in row] for row in arr]
 
 
+@_decoder
 def matrix_from_json(rows) -> np.ndarray:
     return np.asarray([[complex_from_json(v) for v in row] for row in rows], dtype=np.complex128)
 
@@ -79,6 +111,7 @@ def space_to_json(space: Space) -> dict:
     raise ConfigError(f"unknown space {space!r}")
 
 
+@_decoder
 def space_from_json(data: dict) -> Space:
     kind = data.get("kind")
     if kind == "circle":
@@ -105,37 +138,41 @@ def point_to_json(space: Space, point):
     raise ConfigError(f"unknown space {space!r}")
 
 
+@_decoder
 def point_from_json(space: Space, data):
     if isinstance(space, ComplexSphere):
         return space.canonicalize([complex_from_json(c) for c in data])
     return space.canonicalize(data)
 
 
+def _parameter_names(phi_or_class) -> list[str]:
+    """A map's parameters: its dataclass fields but the space and adjoint kind."""
+    fields = dataclasses.fields(phi_or_class)
+    return [f.name for f in fields if f.name not in ("space", "adjoint_kind")]
+
+
 def map_to_json(phi: SymmetryMap) -> dict:
+    params = {name: getattr(phi, name) for name in _parameter_names(phi)}
     return {
         "space": space_to_json(phi.space),
         "action_kind": phi.action_kind,
-        "parameters": phi.params,
+        "parameters": {k: list(v) if isinstance(v, tuple) else v for k, v in params.items()},
         "adjoint": getattr(phi, "adjoint_kind", None),
     }
 
 
+@_decoder
 def map_from_json(data: dict) -> SymmetryMap:
     space = space_from_json(data["space"])
     kind = data.get("action_kind")
+    cls = _MAP_CLASSES.get(kind)
+    if cls is None:
+        raise ConfigError(f"unknown action kind {kind!r}")
     params = data.get("parameters", {})
-    adjoint = data.get("adjoint")
-    if kind == "circle_rotation":
-        return CircleRotation(space, float(params["angle"]), adjoint)
-    if kind == "euclidean_translation":
-        return EuclideanTranslation(space, tuple(params["offset"]), adjoint)
-    if kind == "euclidean_scaling":
-        return EuclideanScaling(space, float(params["ratio"]), adjoint)
-    if kind == "complex_sphere_rotation":
-        return ComplexSphereRotation(space, float(params["angle"]), adjoint)
-    if kind == "group_translation":
-        return GroupTranslation(space, tuple(params["element"]), adjoint)
-    raise ConfigError(f"unknown action kind {kind!r}")
+    params = {name: params[name] for name in _parameter_names(cls)}
+    phi = cls(space, **params, adjoint_kind=data.get("adjoint"))
+    phi.adjoint  # an unknown adjoint kind raises here, while decoding
+    return phi
 
 
 def scalar_kernel_to_json(kernel: ScalarKernel) -> dict:
@@ -180,6 +217,7 @@ def scalar_kernel_to_json(kernel: ScalarKernel) -> dict:
     raise ConfigError(f"cannot serialize kernel {kernel!r}")
 
 
+@_decoder
 def scalar_kernel_from_json(data: dict) -> ScalarKernel:
     form = data.get("form")
     if form == "circle_exp_cos":
@@ -218,6 +256,7 @@ def matrix_kernel_to_json(kernel: MatrixKernel) -> dict:
     }
 
 
+@_decoder
 def matrix_kernel_from_json(data: dict) -> MatrixKernel:
     space = space_from_json(data["space"])
     entries = tuple(
@@ -237,6 +276,7 @@ def counterexample_to_json(cex: CounterexampleKernel) -> dict:
     return out
 
 
+@_decoder
 def counterexample_from_json(data: dict) -> CounterexampleKernel:
     base = scalar_kernel_from_json(data["base"])
     phi = map_from_json(data["map"])
@@ -260,6 +300,7 @@ def counterexample_from_json(data: dict) -> CounterexampleKernel:
     return cex
 
 
+@_decoder
 def kernel_from_json(data: dict):
     """Dispatch on the config shape: counterexample, matrix grid, or scalar."""
     if "variant" in data:
@@ -284,6 +325,7 @@ def spectrum_to_json(spectrum: FourierSpectrum) -> dict:
     }
 
 
+@_decoder
 def spectrum_from_json(data: dict) -> FourierSpectrum:
     group = FiniteAbelian(orders=tuple(int(q) for q in data["group"]))
     raw = data["coefficients"]

@@ -273,11 +273,6 @@ def _stack_vectors(space, points, dtype) -> np.ndarray:
     return arr
 
 
-def points_equal(space: Space, x, y) -> bool:
-    """True iff the two points coincide within the space's tolerance."""
-    return space.points_equal(x, y)
-
-
 def pairwise_distinct(space: Space, points) -> bool:
     """True iff no two of the points coincide within the space's tolerance."""
     return space.all_distinct(space.stack(points))

@@ -3,7 +3,7 @@
 Aperiodicity and center membership are universally quantified statements
 over infinite sets, so the checkers here gather finite evidence (probe
 points, a power bound) and report violations; they never claim proof.
-Map parameters are stored as plain tuples so maps compare by value.
+Map parameters are plain floats and tuples, so maps compare by value.
 """
 
 from __future__ import annotations
@@ -15,14 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InjectivityViolation, PeriodicityDetected, SpaceMismatch
-from .spaces import (
-    Circle,
-    ComplexSphere,
-    Euclidean,
-    FiniteAbelian,
-    Space,
-    points_equal,
-)
+from .spaces import Circle, ComplexSphere, Euclidean, FiniteAbelian, Space
 
 
 @dataclass(frozen=True)
@@ -61,10 +54,6 @@ class SymmetryMap:
             return self._inverse()
         raise ValueError(f"unknown adjoint_kind {kind!r}")
 
-    @property
-    def params(self) -> dict:
-        return {}
-
 
 @dataclass(frozen=True)
 class CircleRotation(SymmetryMap):
@@ -76,6 +65,7 @@ class CircleRotation(SymmetryMap):
     def __post_init__(self):
         if not isinstance(self.space, Circle):
             raise SpaceMismatch("CircleRotation acts on a Circle space")
+        object.__setattr__(self, "angle", float(self.angle))
 
     def apply(self, x):
         return self.space.canonicalize(self.space.canonicalize(x) + self.angle)
@@ -85,10 +75,6 @@ class CircleRotation(SymmetryMap):
 
     def _inverse(self):
         return CircleRotation(self.space, -self.angle, self.adjoint_kind)
-
-    @property
-    def params(self):
-        return {"angle": self.angle}
 
 
 @dataclass(frozen=True)
@@ -121,10 +107,6 @@ class EuclideanTranslation(SymmetryMap):
     def _inverse(self):
         return EuclideanTranslation(self.space, tuple(-c for c in self.offset), self.adjoint_kind)
 
-    @property
-    def params(self):
-        return {"offset": list(self.offset)}
-
 
 @dataclass(frozen=True)
 class EuclideanScaling(SymmetryMap):
@@ -136,6 +118,7 @@ class EuclideanScaling(SymmetryMap):
     def __post_init__(self):
         if not isinstance(self.space, Euclidean):
             raise SpaceMismatch("EuclideanScaling acts on a Euclidean space")
+        object.__setattr__(self, "ratio", float(self.ratio))
 
     def apply(self, x):
         return self.ratio * self.space.canonicalize(x)
@@ -147,10 +130,6 @@ class EuclideanScaling(SymmetryMap):
         if self.ratio == 0.0:
             raise ValueError("scaling by 0 has no inverse")
         return EuclideanScaling(self.space, 1.0 / self.ratio, self.adjoint_kind)
-
-    @property
-    def params(self):
-        return {"ratio": self.ratio}
 
 
 @dataclass(frozen=True)
@@ -165,6 +144,7 @@ class ComplexSphereRotation(SymmetryMap):
     def __post_init__(self):
         if not isinstance(self.space, ComplexSphere):
             raise SpaceMismatch("ComplexSphereRotation acts on a ComplexSphere space")
+        object.__setattr__(self, "angle", float(self.angle))
 
     def apply(self, x):
         moved = np.exp(1j * self.angle) * self.space.canonicalize(x)
@@ -177,10 +157,6 @@ class ComplexSphereRotation(SymmetryMap):
 
     def _inverse(self):
         return ComplexSphereRotation(self.space, -self.angle, self.adjoint_kind)
-
-    @property
-    def params(self):
-        return {"angle": self.angle}
 
 
 @dataclass(frozen=True)
@@ -205,15 +181,6 @@ class GroupTranslation(SymmetryMap):
     def _inverse(self):
         inv = tuple((-g) % q for g, q in zip(self.element, self.space.orders))
         return GroupTranslation(self.space, inv, self.adjoint_kind)
-
-    @property
-    def params(self):
-        return {"element": list(self.element)}
-
-
-def apply(phi: SymmetryMap, x):
-    """Image of ``x`` under the map, canonicalized in the space."""
-    return phi.apply(x)
 
 
 @dataclass(frozen=True)
@@ -258,7 +225,7 @@ def check_aperiodic(phi: SymmetryMap, probes, m_max: int) -> AperiodicityEvidenc
         y = x
         for m in range(1, m_max + 1):
             y = phi.apply(y)
-            if points_equal(space, x, y):
+            if space.points_equal(x, y):
                 violations.append((x, m))
                 break
     return AperiodicityEvidence(m_max=m_max, n_probes=len(probes), violations=tuple(violations))
@@ -281,7 +248,7 @@ def check_center(phi: SymmetryMap, generators, probes) -> CenterEvidence:
         for x in probes:
             left = phi.apply(psi.apply(x))
             right = psi.apply(phi.apply(x))
-            if not points_equal(space, left, right):
+            if not space.points_equal(left, right):
                 violations.append((psi, x, space.distance(left, right)))
     return CenterEvidence(
         n_generators=len(generators), n_probes=len(probes), violations=tuple(violations)

@@ -21,7 +21,7 @@ from kernelcex.kernels import (
     project,
 )
 from kernelcex.numcore import PDKind, classify
-from kernelcex.spaces import Circle, Euclidean, points_equal
+from kernelcex.spaces import Circle, Euclidean
 from kernelcex.symmetry import (
     CircleRotation,
     EuclideanScaling,
@@ -161,13 +161,13 @@ def _orbit_oracle(phi, pts):
     F, tau = [], {}
     for mu, img in enumerate(images):
         for nu, p in enumerate(pts):
-            if points_equal(space, img, p):
+            if space.points_equal(img, p):
                 F.append(mu)
                 tau[mu] = nu
                 break
     merged = []
     for cand in images + [space.canonicalize(p) for p in pts]:
-        if not any(points_equal(space, cand, q) for q in merged):
+        if not any(space.points_equal(cand, q) for q in merged):
             merged.append(cand)
     return F, tau, merged
 
@@ -208,8 +208,8 @@ def test_criterion_4_orbit_decomposition_oracle():
         F, tau, merged = _orbit_oracle(phi, pts)
         dec = orbit_decompose(phi, pts)
         same_sets = all(
-            any(points_equal(space, z, q) for q in merged) for z in dec.z_points
-        ) and all(any(points_equal(space, q, z) for z in dec.z_points) for q in merged)
+            any(space.points_equal(z, q) for q in merged) for z in dec.z_points
+        ) and all(any(space.points_equal(q, z) for z in dec.z_points) for q in merged)
         if not (
             list(dec.F) == F
             and dec.tau == tau

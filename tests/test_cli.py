@@ -1,8 +1,15 @@
+import contextlib
+import copy
+import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kernelcex.cli import main
 from kernelcex.serialize import counterexample_to_json, scalar_kernel_to_json
@@ -156,3 +163,153 @@ def test_verify_config_with_mistyped_field_exits_2(tmp_path, capsys):
     config = _write(tmp_path, "cfg.json", {"n_points": "x"})
     assert main(["verify", "circle-example1", "--config", config]) == 2
     assert "n_points" in capsys.readouterr().err
+
+
+# Malformed documents: each exits 2 with a one-line message, never a traceback.
+CIRCLE_GRID = {
+    "variant": "unitary",
+    "base": {"form": "circle_exp_cos", "space": {"kind": "circle"}},
+    "map": {
+        "space": {"kind": "circle"},
+        "action_kind": "circle_rotation",
+        "parameters": {"angle": 1.0},
+    },
+}
+
+
+def _exits_2(capsys, argv, message):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert message in err
+
+
+def test_gram_kernel_without_dim_exits_2(tmp_path, capsys):
+    kernel = _write(tmp_path, "k.json", {"form": "gaussian", "space": {"kind": "euclidean"}})
+    points = _write(tmp_path, "p.json", [[0.0, 0.0], [1.0, 0.0]])
+    _exits_2(capsys, ["gram", "--kernel", kernel, "--points", points], "dim")
+
+
+def test_gram_kernel_with_string_sigma_exits_2(tmp_path, capsys):
+    config = {"form": "gaussian", "space": {"kind": "euclidean", "dim": 2}, "sigma": "x"}
+    kernel = _write(tmp_path, "k.json", config)
+    points = _write(tmp_path, "p.json", [[0.0, 0.0], [1.0, 0.0]])
+    _exits_2(capsys, ["gram", "--kernel", kernel, "--points", points], "scalar_kernel_from_json")
+
+
+def test_gram_map_with_string_angle_exits_2(tmp_path, capsys):
+    config = copy.deepcopy(CIRCLE_GRID)
+    config["map"]["parameters"]["angle"] = "a"
+    kernel = _write(tmp_path, "k.json", config)
+    points = _write(tmp_path, "p.json", [0.0, 2.0])
+    _exits_2(capsys, ["gram", "--kernel", kernel, "--points", points], "map_from_json")
+
+
+def test_orbit_map_without_parameters_exits_2(tmp_path, capsys):
+    config = {"space": {"kind": "circle"}, "action_kind": "circle_rotation", "parameters": {}}
+    phi = _write(tmp_path, "m.json", config)
+    points = _write(tmp_path, "p.json", [0.0, 2.0])
+    _exits_2(capsys, ["orbit", "--map", phi, "--points", points], "angle")
+
+
+def test_fourier_analyze_with_a_triple_value_exits_2(tmp_path, capsys):
+    values = _write(tmp_path, "psi.json", [1, 2, [1, 2, 3]])
+    _exits_2(capsys, ["fourier", "analyze", "--group", "3", "--input", values], "complex_from_json")
+
+
+def test_points_object_without_points_key_exits_2(tmp_path, capsys):
+    kernel = _write(tmp_path, "k.json", scalar_kernel_to_json(CircleExpCos(Circle())))
+    points = _write(tmp_path, "p.json", {"pts": [0.1]})
+    _exits_2(capsys, ["gram", "--kernel", kernel, "--points", points], "points")
+
+
+def test_verify_config_list_exits_2(tmp_path, capsys):
+    config = _write(tmp_path, "cfg.json", [1, 2])
+    _exits_2(capsys, ["verify", "circle-example1", "--config", config], "JSON object")
+
+
+# Valid inputs for the mutation property: (argv with {file} placeholders,
+# files, the file to mutate). Generated integers stay small, so that no
+# mutation is a well-formed request for an enormous computation.
+MUTATION_CASES = [
+    (["gram", "--kernel", "{k}", "--points", "{p}"], {"k": CIRCLE_GRID, "p": [0.0, 1.0, 2.5]}, "k"),
+    (["gram", "--kernel", "{k}", "--points", "{p}"], {"k": CIRCLE_GRID, "p": [0.0, 1.0, 2.5]}, "p"),
+    (
+        ["gram", "--kernel", "{k}", "--points", "{p}"],
+        {
+            "k": {"form": "gaussian", "space": {"kind": "euclidean", "dim": 2}, "sigma": 0.5},
+            "p": {"points": [[0.0, 0.0], [1.0, 0.5]]},
+        },
+        "p",
+    ),
+    (
+        ["orbit", "--map", "{m}", "--points", "{p}"],
+        {
+            "m": {
+                "space": {"kind": "euclidean", "dim": 1},
+                "action_kind": "euclidean_translation",
+                "parameters": {"offset": [1.0]},
+                "adjoint": "inverse",
+            },
+            "p": [[0.0], [1.0], [5.0]],
+        },
+        "m",
+    ),
+    (
+        ["fourier", "synthesize", "--group", "2,3", "--input", "{s}"],
+        {"s": {"group": [2, 3], "coefficients": [0.5, 0.25, 0.125, 1.0, 0.75, 0.0625]}},
+        "s",
+    ),
+    (
+        ["fourier", "synthesize", "--group", "2", "--input", "{s}"],
+        {"s": {"coefficients": [[[[1.0, 0.0], [0.5, 0.5]], [[0.5, -0.5], [1.0, 0.0]]], [[1, 0], [0, 1]]]}},
+        "s",
+    ),
+    (["fourier", "analyze", "--group", "2,2", "--input", "{v}"], {"v": [[2.0, 0.0], 0.5, [0.5, 0.1], 1.0]}, "v"),
+]
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-20, 20) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _paths(doc, path=()):
+    yield path
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _paths(value, path + (key,))
+
+
+@st.composite
+def mutated_inputs(draw):
+    """A valid case with one value of one document replaced or deleted."""
+    argv, files, target = draw(st.sampled_from(MUTATION_CASES))
+    files = copy.deepcopy(files)
+    path = draw(st.sampled_from(list(_paths(files[target]))))
+    if not path:
+        files[target] = draw(JSON_VALUES)
+        return argv, files
+    parent = files[target]
+    for key in path[:-1]:
+        parent = parent[key]
+    if draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = draw(JSON_VALUES)
+    return argv, files
+
+
+@given(mutated_inputs())
+@settings(max_examples=500, deadline=None)
+def test_mutated_documents_exit_0_or_2(case):
+    argv, files = case
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for name, payload in files.items():
+            paths["{" + name + "}"] = str(Path(tmp) / f"{name}.json")
+            Path(paths["{" + name + "}"]).write_text(json.dumps(payload))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main([paths.get(arg, arg) for arg in argv])
+    assert code in (0, 2)

@@ -58,3 +58,65 @@ def test_comparison_catches_a_changed_count_and_a_drifted_float():
     bad_float = {"records": [{"evidence": {"definite": 1000, "min_eigenvalue": 0.25 * (1 + 1e-8)}}]}
     assert len(_mismatches(want, bad_count)) == 1
     assert len(_mismatches(want, bad_float)) == 1
+
+
+# CLI commands whose stdout is pinned in ``tests/golden_cli/<name>.json``.
+# Each input file name maps to its JSON payload; the stored outputs were
+# written by the commands below before the serialization code was
+# consolidated, so they pin the decoders as well as the encoders.
+CIRCLE_GRID = {
+    "variant": "unitary",
+    "base": {"form": "circle_exp_cos", "space": {"kind": "circle"}},
+    "map": {
+        "space": {"kind": "circle"},
+        "action_kind": "circle_rotation",
+        "parameters": {"angle": 1.0},
+    },
+}
+CLI_CASES = {
+    "gram": (
+        ["gram", "--kernel", "{kernel.json}", "--points", "{points.json}"],
+        {"kernel.json": CIRCLE_GRID, "points.json": [0.0, 1.0, 2.5, -1.3, -2.9, 3.0]},
+    ),
+    "orbit": (
+        ["orbit", "--map", "{map.json}", "--points", "{points.json}"],
+        {
+            "map.json": {
+                "space": {"kind": "euclidean", "dim": 2},
+                "action_kind": "euclidean_translation",
+                "parameters": {"offset": [1.0, 0.5]},
+                "adjoint": "inverse",
+            },
+            "points.json": {"points": [[0.0, 0.0], [1.0, 0.5], [2.0, 1.0], [-3.0, 4.0], [5.0, -1.0]]},
+        },
+    ),
+    "fourier-analyze": (
+        ["fourier", "analyze", "--group", "2,3", "--input", "{psi.json}"],
+        {"psi.json": [[2.0, 0.0], 0.5, [0.5, 0.0], 1.0, [0.25, 0.1], [0.25, -0.1]]},
+    ),
+    "fourier-synthesize": (
+        ["fourier", "synthesize", "--group", "2,3", "--input", "{spectrum.json}"],
+        {"spectrum.json": {"coefficients": [0.5, 0.25, 0.125, 1.0, 0.75, 0.0625]}},
+    ),
+}
+CLI_GOLDEN_DIR = Path(__file__).parent / "golden_cli"
+
+
+def run_cli_case(name, directory):
+    """Write the case's input files to ``directory`` and return its argv."""
+    argv, files = CLI_CASES[name]
+    paths = {}
+    for file_name, payload in files.items():
+        path = Path(directory) / file_name
+        path.write_text(json.dumps(payload))
+        paths["{" + file_name + "}"] = str(path)
+    return [paths.get(arg, arg) for arg in argv]
+
+
+@pytest.mark.parametrize("name", sorted(CLI_CASES))
+def test_cli_output_matches_golden(name, tmp_path, capsys):
+    from kernelcex.cli import main
+
+    assert main(run_cli_case(name, tmp_path)) == 0
+    want = json.loads((CLI_GOLDEN_DIR / f"{name}.json").read_text())
+    assert _mismatches(want, json.loads(capsys.readouterr().out)) == []

@@ -16,8 +16,6 @@ from kernelcex.kernels import (
     ZeroKernel,
     check_adjoint_invariance,
     check_unitary_invariance,
-    eval_matrix,
-    eval_scalar,
     gram,
     project,
 )
@@ -35,11 +33,11 @@ LINE = Euclidean(1)
 
 
 def test_eval_scalar_examples():
-    assert eval_scalar(CircleExpCos(CIRCLE), 0.0, math.pi) == pytest.approx(math.exp(-1))
+    assert CircleExpCos(CIRCLE).eval(0.0, math.pi) == pytest.approx(math.exp(-1))
     g = Gaussian(Euclidean(3), sigma=1.0)
     x = np.array([0.3, -0.1, 2.0])
-    assert eval_scalar(g, x, x) == pytest.approx(1.0)
-    assert eval_scalar(DotExp(PLANE, shift=1.0), (0, 0), (0, 0)) == pytest.approx(2.0)
+    assert g.eval(x, x) == pytest.approx(1.0)
+    assert DotExp(PLANE, shift=1.0).eval((0, 0), (0, 0)) == pytest.approx(2.0)
 
 
 def test_torus_product_value_and_hermitian():
@@ -64,7 +62,7 @@ def _circle_counterexample(rho=1.0):
 def test_eval_matrix_circle_diagonal():
     kernel, _, _ = _circle_counterexample(rho=1.0)
     theta = 0.7
-    m = eval_matrix(kernel, theta, theta)
+    m = kernel.eval(theta, theta)
     np.testing.assert_allclose(
         m,
         [[math.e, math.exp(math.cos(1.0))], [math.exp(math.cos(1.0)), math.e]],
@@ -83,7 +81,7 @@ def test_eval_matrix_gaussian_diagonal():
     )
     kernel = MatrixKernel(space=space, ell=2, entries=grid)
     x = np.array([0.2, 0.5, -1.0])
-    m = eval_matrix(kernel, x, x)
+    m = kernel.eval(x, x)
     off = math.exp(-1.0)
     np.testing.assert_allclose(m, [[1.0, off], [off, 1.0]], rtol=1e-15)
 
@@ -96,7 +94,7 @@ def test_eval_matrix_shifted_dot_at_origin():
         (Composed(base, None, phi), OffsetKernel(base, 1.0)),
     )
     kernel = MatrixKernel(space=PLANE, ell=2, entries=grid)
-    m = eval_matrix(kernel, (0, 0), (0, 0))
+    m = kernel.eval((0, 0), (0, 0))
     np.testing.assert_allclose(m, [[2.0, 1.0], [1.0, 2.0]], rtol=1e-15)
 
 

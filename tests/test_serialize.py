@@ -23,7 +23,13 @@ from kernelcex.serialize import (
     spectrum_to_json,
 )
 from kernelcex.spaces import Circle, ComplexSphere, Euclidean, FiniteAbelian
-from kernelcex.symmetry import CircleRotation, EuclideanScaling, EuclideanTranslation
+from kernelcex.symmetry import (
+    CircleRotation,
+    ComplexSphereRotation,
+    EuclideanScaling,
+    EuclideanTranslation,
+    GroupTranslation,
+)
 
 
 @pytest.mark.parametrize(
@@ -59,6 +65,8 @@ def test_complex_matrix_roundtrip():
         CircleRotation(Circle(), 1.0),
         EuclideanTranslation(Euclidean(2), (1.0, -0.5), adjoint_kind="inverse"),
         EuclideanScaling(Euclidean(2), 2.0),
+        ComplexSphereRotation(ComplexSphere(2), 0.7),
+        GroupTranslation(FiniteAbelian((2, 3)), (1, 2)),
     ],
 )
 def test_map_roundtrip(phi):
@@ -125,3 +133,42 @@ def test_spectrum_roundtrip_scalar_and_matrix():
     matrix = FourierSpectrum(group=group, coefficients=stack)
     back = spectrum_from_json(spectrum_to_json(matrix))
     np.testing.assert_allclose(back.coefficients, stack)
+
+
+def test_map_without_adjoint_key_decodes_to_no_adjoint():
+    data = {"space": {"kind": "circle"}, "action_kind": "circle_rotation", "parameters": {"angle": 1.0}}
+    phi = map_from_json(data)
+    assert phi == CircleRotation(Circle(), 1.0, adjoint_kind=None)
+    assert phi.adjoint is None
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        # a missing parameter never falls back to the dataclass default
+        {"space": {"kind": "circle"}, "action_kind": "circle_rotation", "parameters": {}},
+        {"space": {"kind": "circle"}, "action_kind": "circle_rotation"},
+        {"space": {"kind": "circle"}, "action_kind": "circle_rotation", "parameters": {"angle": "a"}},
+        {"space": {"kind": "euclidean", "dim": 2}, "action_kind": "euclidean_scaling",
+         "parameters": {"ratio": 2.0}, "adjoint": "sideways"},
+        {"space": {"kind": "circle"}, "action_kind": "reflection", "parameters": {}},
+    ],
+)
+def test_malformed_map_raises_config_error(data):
+    with pytest.raises(ConfigError, match="map_from_json|action kind"):
+        map_from_json(data)
+
+
+@pytest.mark.parametrize(
+    "decode, data",
+    [
+        (space_from_json, {"kind": "euclidean"}),
+        (scalar_kernel_from_json, {"form": "gaussian", "space": {"kind": "circle"}, "sigma": [1]}),
+        (matrix_from_json, [[[1.0, 2.0, 3.0]]]),
+        (spectrum_from_json, {"coefficients": [1.0]}),
+        (counterexample_from_json, []),
+    ],
+)
+def test_decoders_report_malformed_documents_as_config_errors(decode, data):
+    with pytest.raises(ConfigError, match=r"_from_json: malformed input"):
+        decode(data)

@@ -12,14 +12,13 @@ from kernelcex.spaces import (
     Euclidean,
     FiniteAbelian,
     group_elements,
-    points_equal,
     sample_distinct,
 )
 
 
 def test_circle_wraparound_identity():
     s = Circle()
-    assert points_equal(s, 0.0, 2 * math.pi - 1e-15)
+    assert s.points_equal(0.0, 2 * math.pi - 1e-15)
 
 
 def test_circle_canonical_range():
@@ -30,14 +29,14 @@ def test_circle_canonical_range():
 
 def test_euclidean_points_differ():
     s = Euclidean(2)
-    assert not points_equal(s, (0.0, 0.0), (0.0, 1.0))
+    assert not s.points_equal((0.0, 0.0), (0.0, 1.0))
 
 
 def test_finite_abelian_equality_accepts_bare_int():
     s = FiniteAbelian((3,))
-    assert points_equal(s, 2, 2)
-    assert points_equal(s, 2, 5)  # mod 3
-    assert not points_equal(s, 2, 1)
+    assert s.points_equal(2, 2)
+    assert s.points_equal(2, 5)  # mod 3
+    assert not s.points_equal(2, 1)
 
 
 def test_complex_sphere_rejects_non_unit_points():
@@ -102,8 +101,8 @@ def test_group_elements_wrong_space():
 @settings(max_examples=60, deadline=None)
 def test_circle_equality_reflexive_and_symmetric(a, b):
     s = Circle()
-    assert points_equal(s, a, a)
-    assert points_equal(s, a, b) == points_equal(s, b, a)
+    assert s.points_equal(a, a)
+    assert s.points_equal(a, b) == s.points_equal(b, a)
 
 
 def test_sampled_points_pass_points_equal_false():
@@ -111,4 +110,4 @@ def test_sampled_points_pass_points_equal_false():
         pts = sample_distinct(space, 6, min_sep=0.2, seed=5)
         for i in range(len(pts)):
             for j in range(i + 1, len(pts)):
-                assert not points_equal(space, pts[i], pts[j])
+                assert not space.points_equal(pts[i], pts[j])

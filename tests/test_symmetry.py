@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kernelcex.errors import InjectivityViolation, PeriodicityDetected
-from kernelcex.spaces import Circle, Euclidean, FiniteAbelian, points_equal
+from kernelcex.spaces import Circle, Euclidean, FiniteAbelian
 from kernelcex.symmetry import (
     CircleRotation,
     ComplexSphereRotation,
@@ -162,13 +162,13 @@ def _oracle(phi, pts):
     F, tau = [], {}
     for mu, img in enumerate(images):
         for nu, p in enumerate(pts):
-            if points_equal(space, img, p):
+            if space.points_equal(img, p):
                 F.append(mu)
                 tau[mu] = nu
                 break
     merged = []
     for cand in images + [space.canonicalize(p) for p in pts]:
-        if not any(points_equal(space, cand, q) for q in merged):
+        if not any(space.points_equal(cand, q) for q in merged):
             merged.append(cand)
     return F, tau, merged
 
@@ -211,8 +211,8 @@ def test_orbit_matches_oracle_on_random_instances():
         assert dec.m + 2 * dec.p == len(merged)
         assert dec.m <= len(pts) - 1
         # set equality of z_points with the brute-force union
-        assert all(any(points_equal(space, z, q) for q in merged) for z in dec.z_points)
-        assert all(any(points_equal(space, q, z) for z in dec.z_points) for q in merged)
+        assert all(any(space.points_equal(z, q) for q in merged) for z in dec.z_points)
+        assert all(any(space.points_equal(q, z) for z in dec.z_points) for q in merged)
         # tau injective
         assert len(set(dec.tau.values())) == len(dec.tau)
         # escape property
