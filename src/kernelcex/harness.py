@@ -217,6 +217,14 @@ def _draw(space: Space, rng: np.random.Generator, radius: float | None):
     return space.random_point(rng)
 
 
+def _draw_many(space: Space, rng: np.random.Generator, radius: float | None, k: int) -> np.ndarray:
+    """k draws stacked along axis 0; the generator consumes exactly the
+    draws of k ``_draw`` calls (see ``Space.random_points``)."""
+    if isinstance(space, Euclidean) and radius is not None:
+        return rng.uniform(-radius, radius, (k, space.dim))
+    return space.random_points(rng, k)
+
+
 # A sampled point set is accepted only when the base-kernel Gram over the
 # merged set (points plus images) keeps this relative minimum eigenvalue.
 # Every projection Gram is B* G B with B*B = ||v||^2 I whenever no image
@@ -224,6 +232,88 @@ def _draw(space: Space, rng: np.random.Generator, radius: float | None):
 # better; the floor therefore guarantees positive definite verdicts at
 # pd_tol with a factor-ten margin.
 _CONDITIONING_FLOOR = 1e-8
+
+# Draws per placement slot before the sampler restarts from scratch, and
+# draws over all restarts before it gives up.
+_SLOT_ATTEMPTS = 200
+_MAX_ATTEMPTS = 200_000
+# Candidate draws tested at once with one distance matrix.
+_BATCH = 64
+# Vectorised canonical forms and norms may differ from the scalar path by an
+# ulp, so a batched test only rejects a candidate when it fails by more
+# than this margin; every other candidate gets the exact per-draw test.
+_MARGIN = 1e-12
+
+
+def _exact_test(space: Space, phi, cand, merged: np.ndarray, min_sep: float, min_norm: float):
+    """The per-draw acceptance test of one canonical candidate: returns the
+    candidate and its image (if phi is given) when both keep ``min_sep``
+    from the merged stack and from each other, else None."""
+    if min_norm > 0.0 and float(np.linalg.norm(np.atleast_1d(cand))) <= min_norm:
+        return None
+    cands = [cand] if phi is None else [cand, phi.apply(cand)]
+    new = np.asarray(cands)
+    # One distance matrix tests the candidate and its image against the
+    # merged set, and the image against the candidate; the candidate's
+    # distance to itself is masked.
+    dist = space.distances(new, np.concatenate([merged, new[:1]]))
+    dist[0, -1] = np.inf
+    return cands if dist.min() > min_sep else None
+
+
+def _first_open(space: Space, phi, draws: np.ndarray, merged: np.ndarray, min_sep: float,
+                min_norm: float) -> int | None:
+    """Index of the first raw draw in a batch that the exact test might
+    accept, or None; every draw before it fails the exact test.
+
+    One distance matrix tests every candidate and its image against the
+    merged set. The distance from an image to its own candidate is left to
+    the exact test, which keeps the batch matrix at 2k x m entries.
+    """
+    cands = space.stack(draws)
+    k = len(cands)
+    rows = cands if phi is None else np.concatenate([cands, phi.apply_many(cands)])
+    nearest = np.min(space.distances(rows, merged), axis=1, initial=np.inf)
+    nearest = nearest.reshape(-1, k).min(axis=0)
+    open_ = nearest > min_sep - _MARGIN
+    if min_norm > 0.0:
+        open_ &= np.linalg.norm(cands.reshape(k, -1), axis=1) > min_norm - _MARGIN
+    hits = np.flatnonzero(open_)
+    return int(hits[0]) if len(hits) else None
+
+
+def _place(space: Space, phi, merged: np.ndarray, min_sep: float, min_norm: float,
+           rng: np.random.Generator, radius: float | None, budget: int):
+    """One placement slot of at most ``budget`` draws. Returns the number of
+    draws used and the accepted candidate with its image, or None.
+
+    The first draw, which passes in most slots, takes the exact test alone.
+    After a failure, batches of up to ``_BATCH`` draws skip the draws that
+    fail for certain: the generator is rewound to the batch start, the j
+    skipped draws are consumed in one call, and draw j takes the scalar
+    path, so it has the bits the per-draw loop gives it and the exact test
+    decides.
+    """
+    used = 0
+    while used < budget:
+        if used:
+            k = min(_BATCH, budget - used)
+            state = rng.bit_generator.state
+            draws = _draw_many(space, rng, radius, k)
+            j = _first_open(space, phi, draws, merged, min_sep, min_norm)
+            if j is None:
+                used += k
+                continue
+            rng.bit_generator.state = state
+            if j:
+                _draw_many(space, rng, radius, j)
+            used += j
+        used += 1
+        cand = space.canonicalize(_draw(space, rng, radius))
+        accepted = _exact_test(space, phi, cand, merged, min_sep, min_norm)
+        if accepted is not None:
+            return used, accepted
+    return used, None
 
 
 def _sample_merged(
@@ -243,8 +333,15 @@ def _sample_merged(
     Separation plus the optional conditioning floor on ``cond_kernel``'s
     merged-set Gram keep projection Gram matrices away from incidental
     ill-conditioning, so that only the constructed degeneracies can make a
-    verdict non-definite. Restarts on dead ends; deterministic given the
-    generator state.
+    verdict non-definite. Each placement slot draws candidates until one
+    passes; a slot that fails ``_SLOT_ATTEMPTS`` draws (a draw skipped for
+    ``min_norm`` counts) restarts the whole set, and ``_MAX_ATTEMPTS``
+    draws in all raise ``ConfigError``.
+
+    Stream contract: candidates are tested in batches (see ``_place``), yet
+    the sampler consumes exactly the draws of a loop that draws and tests
+    one candidate at a time, returns that loop's points bit for bit and
+    leaves the generator in the same final state.
     """
     include = [space.canonicalize(p) for p in include]
     include_images = [] if phi is None else [phi.apply(p) for p in include]
@@ -259,35 +356,21 @@ def _sample_merged(
         pts: list = []
         images = list(include_images)
         merged = space.stack(include + images)
-        stuck = False
         while len(pts) < n:
-            placed = False
-            for _ in range(200):
-                total_attempts += 1
-                if total_attempts > 200_000:
-                    raise ConfigError(
-                        "min_sep: sampling could not place separated points; lower min_sep or n_points"
-                    )
-                cand = space.canonicalize(_draw(space, rng, radius))
-                if min_norm > 0.0 and float(np.linalg.norm(np.atleast_1d(cand))) <= min_norm:
-                    continue
-                cands = [cand] if phi is None else [cand, phi.apply(cand)]
-                new = np.asarray(cands)
-                # One distance matrix tests the candidate and its image
-                # against the merged set, and the image against the
-                # candidate; the candidate's distance to itself is masked.
-                dist = space.distances(new, np.concatenate([merged, new[:1]]))
-                dist[0, -1] = np.inf
-                if dist.min() > min_sep:
-                    pts.append(cand)
-                    images += cands[1:]
-                    merged = np.concatenate([merged, new])
-                    placed = True
-                    break
-            if not placed:
-                stuck = True
+            budget = min(_SLOT_ATTEMPTS, _MAX_ATTEMPTS - total_attempts)
+            used, accepted = _place(space, phi, merged, min_sep, min_norm, rng, radius, budget)
+            total_attempts += used
+            if accepted is not None:
+                pts.append(accepted[0])
+                images += accepted[1:]
+                merged = np.concatenate([merged, np.asarray(accepted)])
+            elif budget < _SLOT_ATTEMPTS:
+                raise ConfigError(
+                    "min_sep: sampling could not place separated points; lower min_sep or n_points"
+                )
+            else:
                 break
-        if stuck:
+        if len(pts) < n:
             continue
         if cond_kernel is not None:
             eigvals = np.linalg.eigvalsh(gram(cond_kernel, include + pts + images).symmetrized())
@@ -296,12 +379,29 @@ def _sample_merged(
         return include + pts
 
 
-def _projection_vectors(rng: np.random.Generator, ell: int, count: int) -> list[np.ndarray]:
-    out = []
+# Projection vectors shorter than this are redrawn.
+_MIN_VECTOR_NORM = 1e-3
+
+
+def _projection_vectors(rng: np.random.Generator, ell: int, count: int) -> np.ndarray:
+    """``count`` complex vectors of norm above 1e-3, one per row.
+
+    Stream contract: each vector draws its real parts, then its imaginary
+    parts, and short vectors are redrawn, so the rows, the draws consumed
+    and the final generator state equal those of drawing one vector at a
+    time. Each refill draws only the shortfall, so nothing is drawn past
+    the last accepted vector.
+    """
+    out = np.empty((0, ell), dtype=np.complex128)
     while len(out) < count:
-        v = rng.standard_normal(ell) + 1j * rng.standard_normal(ell)
-        if np.linalg.norm(v) > 1e-3:
-            out.append(v)
+        parts = rng.standard_normal((count - len(out), 2, ell))
+        v = parts[:, 0] + 1j * parts[:, 1]
+        norms = np.linalg.norm(v, axis=1)
+        keep = norms > _MIN_VECTOR_NORM
+        # Norms this close to the threshold are decided by the scalar norm.
+        for i in np.flatnonzero(np.abs(norms - _MIN_VECTOR_NORM) <= 1e-12 * _MIN_VECTOR_NORM):
+            keep[i] = np.linalg.norm(v[i]) > _MIN_VECTOR_NORM
+        out = np.concatenate([out, v[keep]])
     return out
 
 
@@ -390,7 +490,7 @@ def _projection_strictness_record(
             min_norm=min_norm,
             cond_kernel=cex.base,
         )
-        vectors = np.array(_projection_vectors(_rng(cfg, 12, t), ell, cfg.projection_trials))
+        vectors = _projection_vectors(_rng(cfg, 12, t), ell, cfg.projection_trials)
         # Every projection Gram is a sesquilinear contraction of one blocked
         # Gram: G_v[a, b] = sum_ij conj(v_i) v_j G[i, a, j, b].
         n = len(pts)

@@ -10,10 +10,11 @@ matrix of kernel values in one vectorised step. The leaf kernels write their
 formula once, on stacks; ``Composed`` maps each stack once with
 ``SymmetryMap.apply_many``; ``OffsetKernel`` and ``ZeroKernel`` shift or
 replace a block. A matrix kernel is a grid of scalar kernels, and its block
-is the grid of entry blocks in coordinate-major layout, so a scalar
-projection K_v is the sesquilinear combination sum_ij conj(v_i) v_j of
-entry blocks. Pointwise ``eval`` is ``block`` on one-point stacks, and
-``gram`` is ``block`` of a stack with itself after one distinctness check.
+is the grid of entry blocks in coordinate-major layout, with the blocks of
+``ZeroKernel`` entries left zero and never evaluated; so a scalar projection
+K_v is the sesquilinear combination sum_ij conj(v_i) v_j of entry blocks.
+Pointwise ``eval`` is ``block`` on one-point stacks, and ``gram`` is
+``block`` of a stack with itself after one distinctness check.
 Non-finite kernel values (an overflowing exponential, say) raise
 ``NonFiniteValue``.
 """
@@ -242,9 +243,26 @@ class MatrixKernel:
                     raise SpaceMismatch("all grid entries must live on the same space")
         object.__setattr__(self, "entries", grid)
 
+    @cached_property
+    def _live_entries(self) -> tuple[tuple[int, int, ScalarKernel], ...]:
+        """Grid positions and entries that are not ``ZeroKernel``s."""
+        return tuple(
+            (i, j, entry)
+            for i, row in enumerate(self.entries)
+            for j, entry in enumerate(row)
+            if not isinstance(entry, ZeroKernel)
+        )
+
     def block(self, X, Y) -> np.ndarray:
-        """The (ell n) x (ell m) matrix whose block (i, j) is entry (i, j)'s block."""
-        return np.block([[entry.block(X, Y) for entry in row] for row in self.entries])
+        """The (ell n) x (ell m) matrix whose block (i, j) is entry (i, j)'s
+        block; the blocks of ``ZeroKernel`` entries stay zero unevaluated."""
+        n, m = len(X), len(Y)
+        blocks = [(i, j, entry.block(X, Y)) for i, j, entry in self._live_entries]
+        dtype = np.result_type(np.float64, *(b for _, _, b in blocks))
+        out = np.zeros((self.ell * n, self.ell * m), dtype=dtype)
+        for i, j, b in blocks:
+            out[i * n : (i + 1) * n, j * m : (j + 1) * m] = b
+        return out
 
     def eval(self, x, y) -> np.ndarray:
         return _finite(self.block(self.space.stack([x]), self.space.stack([y]))).astype(np.complex128)

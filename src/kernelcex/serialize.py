@@ -170,9 +170,7 @@ def map_from_json(data: dict) -> SymmetryMap:
         raise ConfigError(f"unknown action kind {kind!r}")
     params = data.get("parameters", {})
     params = {name: params[name] for name in _parameter_names(cls)}
-    phi = cls(space, **params, adjoint_kind=data.get("adjoint"))
-    phi.adjoint  # an unknown adjoint kind raises here, while decoding
-    return phi
+    return cls(space, **params, adjoint_kind=data.get("adjoint"))
 
 
 def scalar_kernel_to_json(kernel: ScalarKernel) -> dict:

@@ -79,6 +79,17 @@ class Space:
     def random_point(self, rng: np.random.Generator):
         raise NotImplementedError
 
+    def random_points(self, rng: np.random.Generator, k: int) -> np.ndarray:
+        """k random points stacked along axis 0, drawn in one call where the
+        space allows it.
+
+        Stream contract: the generator consumes exactly the draws of k
+        ``random_point`` calls and ends in the same state, and row i equals
+        the i-th of those calls (up to one rounding where a space
+        normalises its points). Rows are raw draws, not canonical forms.
+        """
+        return np.array([self.random_point(rng) for _ in range(k)])
+
 
 @dataclass(frozen=True)
 class Circle(Space):
@@ -109,6 +120,9 @@ class Circle(Space):
 
     def random_point(self, rng: np.random.Generator) -> float:
         return float(rng.uniform(-math.pi, math.pi))
+
+    def random_points(self, rng: np.random.Generator, k: int) -> np.ndarray:
+        return rng.uniform(-math.pi, math.pi, k)
 
 
 @dataclass(frozen=True)
@@ -141,6 +155,9 @@ class Euclidean(Space):
 
     def random_point(self, rng: np.random.Generator) -> np.ndarray:
         return rng.standard_normal(self.dim)
+
+    def random_points(self, rng: np.random.Generator, k: int) -> np.ndarray:
+        return rng.standard_normal((k, self.dim))
 
 
 @dataclass(frozen=True)
@@ -184,6 +201,12 @@ class ComplexSphere(Space):
     def random_point(self, rng: np.random.Generator) -> np.ndarray:
         v = rng.standard_normal(self.dim) + 1j * rng.standard_normal(self.dim)
         return v / np.linalg.norm(v)
+
+    def random_points(self, rng: np.random.Generator, k: int) -> np.ndarray:
+        # Each point draws its real parts, then its imaginary parts.
+        parts = rng.standard_normal((k, 2, self.dim))
+        v = parts[:, 0] + 1j * parts[:, 1]
+        return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,17 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InjectivityViolation, PeriodicityDetected, SpaceMismatch
+from .errors import (
+    ConfigError,
+    InjectivityViolation,
+    MissingAdjoint,
+    PeriodicityDetected,
+    SpaceMismatch,
+)
 from .spaces import Circle, ComplexSphere, Euclidean, FiniteAbelian, Space
+
+
+_ADJOINT_KINDS = (None, "self", "inverse")
 
 
 @dataclass(frozen=True)
@@ -25,7 +34,7 @@ class SymmetryMap:
     ``adjoint_kind`` selects the involution partner used by adjoint
     invariance checks: ``"self"`` for self-adjoint actions, ``"inverse"``
     for actions whose partner is the inverse action, ``None`` when no
-    partner is declared.
+    partner is declared. Each map checks its kind at construction.
     """
 
     space: Space
@@ -43,6 +52,14 @@ class SymmetryMap:
     def _inverse(self) -> "SymmetryMap":
         raise NotImplementedError(f"{self.action_kind} has no inverse action")
 
+    def _check_adjoint_kind(self) -> None:
+        kind = getattr(self, "adjoint_kind", None)
+        if kind not in _ADJOINT_KINDS:
+            raise ConfigError(
+                f"adjoint_kind: {kind!r} is not one of {_ADJOINT_KINDS} "
+                f"(action kind {self.action_kind!r})"
+            )
+
     @property
     def adjoint(self) -> "SymmetryMap | None":
         kind = getattr(self, "adjoint_kind", None)
@@ -50,9 +67,7 @@ class SymmetryMap:
             return None
         if kind == "self":
             return self
-        if kind == "inverse":
-            return self._inverse()
-        raise ValueError(f"unknown adjoint_kind {kind!r}")
+        return self._inverse()
 
 
 @dataclass(frozen=True)
@@ -63,6 +78,7 @@ class CircleRotation(SymmetryMap):
     action_kind = "circle_rotation"
 
     def __post_init__(self):
+        self._check_adjoint_kind()
         if not isinstance(self.space, Circle):
             raise SpaceMismatch("CircleRotation acts on a Circle space")
         object.__setattr__(self, "angle", float(self.angle))
@@ -85,6 +101,7 @@ class EuclideanTranslation(SymmetryMap):
     action_kind = "euclidean_translation"
 
     def __post_init__(self):
+        self._check_adjoint_kind()
         if not isinstance(self.space, Euclidean):
             raise SpaceMismatch("EuclideanTranslation acts on a Euclidean space")
         offset = tuple(float(c) for c in np.atleast_1d(self.offset))
@@ -116,6 +133,7 @@ class EuclideanScaling(SymmetryMap):
     action_kind = "euclidean_scaling"
 
     def __post_init__(self):
+        self._check_adjoint_kind()
         if not isinstance(self.space, Euclidean):
             raise SpaceMismatch("EuclideanScaling acts on a Euclidean space")
         object.__setattr__(self, "ratio", float(self.ratio))
@@ -128,7 +146,7 @@ class EuclideanScaling(SymmetryMap):
 
     def _inverse(self):
         if self.ratio == 0.0:
-            raise ValueError("scaling by 0 has no inverse")
+            raise MissingAdjoint("scaling by 0 has no inverse, so 'inverse' gives no adjoint")
         return EuclideanScaling(self.space, 1.0 / self.ratio, self.adjoint_kind)
 
 
@@ -142,6 +160,7 @@ class ComplexSphereRotation(SymmetryMap):
     action_kind = "complex_sphere_rotation"
 
     def __post_init__(self):
+        self._check_adjoint_kind()
         if not isinstance(self.space, ComplexSphere):
             raise SpaceMismatch("ComplexSphereRotation acts on a ComplexSphere space")
         object.__setattr__(self, "angle", float(self.angle))
@@ -167,6 +186,7 @@ class GroupTranslation(SymmetryMap):
     action_kind = "group_translation"
 
     def __post_init__(self):
+        self._check_adjoint_kind()
         if not isinstance(self.space, FiniteAbelian):
             raise SpaceMismatch("GroupTranslation acts on a FiniteAbelian space")
         object.__setattr__(self, "element", self.space.canonicalize(self.element))

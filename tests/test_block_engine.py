@@ -19,7 +19,9 @@ from kernelcex.kernels import (
     DotExp,
     Gaussian,
     GroupFourier,
+    MatrixKernel,
     TorusProduct,
+    ZeroKernel,
     check_adjoint_invariance,
     check_unitary_invariance,
     gram,
@@ -116,6 +118,48 @@ def test_gram_of_embedded_kernel_matches_closed_form():
     _assert_close(gram(padded, pts).entries, _blocked(entries, pts))
 
 
+def _zero_block_calls(monkeypatch) -> list:
+    calls = []
+    zero_block = ZeroKernel.block
+
+    def counting_block(self, X, Y):
+        calls.append(len(X) * len(Y))
+        return zero_block(self, X, Y)
+
+    monkeypatch.setattr(ZeroKernel, "block", counting_block)
+    return calls
+
+
+@pytest.mark.parametrize("ell", [3, 7])
+def test_embedded_block_equals_np_block_without_evaluating_zero_entries(monkeypatch, ell):
+    cex = build_unitary(CircleExpCos(CIRCLE), CircleRotation(CIRCLE, 1.0))
+    padded = embed(cex.as_matrix, ell, CircleExpCos(CIRCLE))
+    X = CIRCLE.stack([-2.9, -1.1, 0.2])
+    Y = CIRCLE.stack([0.9, 2.4, -0.4, 1.7])
+    want = np.block([[entry.block(X, Y) for entry in row] for row in padded.entries])
+    calls = _zero_block_calls(monkeypatch)
+    got = padded.block(X, Y)
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
+    assert calls == []
+
+
+def test_complex_grid_block_equals_np_block_without_evaluating_zero_entries(monkeypatch):
+    group = FiniteAbelian((2, 3))
+    rng = np.random.default_rng(4)
+    entry = GroupFourier(group, tuple(rng.standard_normal(6) + 1j * rng.standard_normal(6)))
+    zero = ZeroKernel(group)
+    grid = MatrixKernel(group, 2, ((zero, entry), (zero, zero)))
+    X = group.stack([(0, 1), (1, 2)])
+    Y = group.stack([(1, 0), (0, 0), (1, 1)])
+    want = np.block([[e.block(X, Y) for e in row] for row in grid.entries])
+    calls = _zero_block_calls(monkeypatch)
+    got = grid.block(X, Y)
+    assert got.dtype == want.dtype == np.complex128
+    np.testing.assert_array_equal(got, want)
+    assert calls == []
+
+
 @pytest.mark.parametrize(
     "cex,space,min_sep,radius",
     [
@@ -205,14 +249,16 @@ def _sample_merged_per_pair(space, phi, n, min_sep, rng, radius=None, include=()
 def test_sample_merged_matches_per_pair_reference(
     space, phi, n, min_sep, radius, include, min_norm, cond_kernel
 ):
-    for seed in range(3):
+    for seed in range(20):
         args = (space, phi, n, min_sep)
         kwargs = dict(radius=radius, include=include, min_norm=min_norm, cond_kernel=cond_kernel)
-        got = _sample_merged(*args, np.random.default_rng(seed), **kwargs)
-        want = _sample_merged_per_pair(*args, np.random.default_rng(seed), **kwargs)
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = _sample_merged(*args, rng, **kwargs)
+        want = _sample_merged_per_pair(*args, ref_rng, **kwargs)
         assert len(got) == len(want)
         for a, b in zip(got, want):
             np.testing.assert_array_equal(np.asarray(a), np.asarray(b))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_classify_many_applies_classify_rules_to_every_kind():

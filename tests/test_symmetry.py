@@ -3,7 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from kernelcex.errors import InjectivityViolation, PeriodicityDetected
+from kernelcex.counterexample import build_adjoint
+from kernelcex.errors import (
+    ConfigError,
+    InjectivityViolation,
+    KernelCexError,
+    MissingAdjoint,
+    PeriodicityDetected,
+)
+from kernelcex.kernels import CircleExpCos
 from kernelcex.spaces import Circle, Euclidean, FiniteAbelian
 from kernelcex.symmetry import (
     CircleRotation,
@@ -223,3 +231,32 @@ def test_orbit_matches_oracle_on_random_instances():
                 cur = dec.tau[cur]
                 hops += 1
                 assert hops <= len(pts)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda kind: CircleRotation(Circle(), 1.0, kind),
+        lambda kind: EuclideanTranslation(Euclidean(2), (1.0, 0.0), kind),
+        lambda kind: EuclideanScaling(Euclidean(2), 2.0, kind),
+        lambda kind: ComplexSphereRotation(ComplexSphere(2), 1.0, kind),
+        lambda kind: GroupTranslation(FiniteAbelian((3,)), (1,), kind),
+    ],
+)
+def test_unknown_adjoint_kind_is_a_config_error_at_construction(make):
+    for kind in (None, "self", "inverse"):
+        make(kind)
+    with pytest.raises(ConfigError, match="adjoint_kind: 'sideways'"):
+        make("sideways")
+
+
+def test_build_adjoint_with_unknown_adjoint_kind_raises_config_error():
+    with pytest.raises(ConfigError, match="sideways"):
+        build_adjoint(CircleExpCos(Circle()), CircleRotation(Circle(), 1.0, "sideways"))
+
+
+def test_inverse_adjoint_of_scaling_by_zero_is_missing():
+    phi = EuclideanScaling(Euclidean(1), 0.0, "inverse")
+    with pytest.raises(MissingAdjoint, match="scaling by 0"):
+        phi.adjoint
+    assert issubclass(MissingAdjoint, KernelCexError)
