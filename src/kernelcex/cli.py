@@ -19,10 +19,9 @@ from .numcore import classify
 from .serialize import (
     SCHEMA_VERSION,
     complex_from_json,
-    complex_to_json,
+    dumps,
     kernel_from_json,
     map_from_json,
-    matrix_to_json,
     orbit_to_json,
     point_from_json,
     spectrum_from_json,
@@ -73,26 +72,23 @@ def _cmd_gram(args) -> int:
     out = {
         "schema_version": SCHEMA_VERSION,
         "dim": matrix.dim,
-        "gram": matrix_to_json(matrix.entries),
+        "gram": matrix.entries,
         "verdict": {
             "kind": verdict.kind.value,
             "min_eigenvalue": verdict.min_eigenvalue,
             "numeric_rank": verdict.numeric_rank,
             "scale": verdict.scale,
-            "null_vectors": [
-                [complex_to_json(z) for z in verdict.null_vectors[:, j]]
-                for j in range(verdict.null_vectors.shape[1])
-            ],
+            "null_vectors": verdict.null_vectors.T,
         },
     }
-    print(json.dumps(out, indent=2, sort_keys=True))
+    print(dumps(out))
     return 0
 
 
 def _cmd_orbit(args) -> int:
     phi = map_from_json(_load_json(args.map))
     decomposition = orbit_decompose(phi, _load_points(args.points, phi.space))
-    print(json.dumps(orbit_to_json(phi.space, decomposition), indent=2, sort_keys=True))
+    print(dumps(orbit_to_json(phi.space, decomposition)))
     return 0
 
 
@@ -112,9 +108,11 @@ def _cmd_fourier(args) -> int:
     if not isinstance(data, (list, dict)):
         raise ConfigError(f"{args.input}: expected a JSON list or object")
     if args.mode == "analyze":
+        if not isinstance(data, list):
+            raise ConfigError(f"{args.input}: analyze expects a JSON list of values, not an object")
         values = np.asarray([complex_from_json(v) for v in data])
         spectrum = analyze(values, group)
-        print(json.dumps(spectrum_to_json(spectrum), indent=2, sort_keys=True))
+        print(dumps(spectrum_to_json(spectrum)))
         return 0
     if isinstance(data, list):
         data = {"group": list(group.orders), "coefficients": data}
@@ -123,19 +121,7 @@ def _cmd_fourier(args) -> int:
     if tuple(spectrum.group.orders) != tuple(group.orders):
         raise ConfigError("group: --group disagrees with the spectrum file")
     values = synthesize(spectrum)
-    print(
-        json.dumps(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "group": list(group.orders),
-                "values": [complex_to_json(v) for v in np.atleast_1d(values)]
-                if values.ndim == 1
-                else [matrix_to_json(m) for m in values],
-            },
-            indent=2,
-            sort_keys=True,
-        )
-    )
+    print(dumps({"schema_version": SCHEMA_VERSION, "group": list(group.orders), "values": values}))
     return 0
 
 

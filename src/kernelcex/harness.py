@@ -14,7 +14,6 @@ are harness choices, not mathematically forced values; reports flag them.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -50,7 +49,7 @@ from .kernels import (
     project,
 )
 from .numcore import PDKind, classify, classify_many
-from .serialize import SCHEMA_VERSION
+from .serialize import SCHEMA_VERSION, dumps
 from .spaces import (
     Circle,
     ComplexSphere,
@@ -1157,7 +1156,7 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
 def emit_report(report: SuiteReport, format: str = "text") -> str:
     """Serialize a report as stable JSON or human-readable text."""
     if format == "json":
-        return json.dumps(report.to_dict(), indent=2, sort_keys=True)
+        return dumps(report.to_dict())
     if format != "text":
         raise ConfigError(f"format: unknown format {format!r}")
     lines = [

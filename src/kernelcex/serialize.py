@@ -6,12 +6,16 @@ a bare number, a Euclidean point an array, a complex-sphere point an array
 of [re, im] pairs, a group element an integer array. A map's parameters are
 its dataclass fields. Every ``*_from_json`` decoder fails closed: a
 malformed document raises ``ConfigError``, never a bare exception.
+
+``dumps`` writes every document kernelcex emits.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import math
+from json.encoder import encode_basestring_ascii as _encode_str
 
 import numpy as np
 
@@ -60,6 +64,87 @@ _MAP_CLASSES = {
         GroupTranslation,
     )
 }
+
+
+def _float_str(x: float) -> str:
+    # float.__repr__, not repr: under numpy 2 repr(np.float64(1.0)) is
+    # "np.float64(1.0)". Non-finite values are spelled as json spells them.
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _key_str(key) -> str:
+    if isinstance(key, str):
+        return _encode_str(key)
+    if key is None or isinstance(key, (int, float)):
+        # json quotes the value's own spelling: 1.5 -> "1.5", True -> "true".
+        return _encode_str(_encode(key, 0))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _complex_array_str(arr: np.ndarray, level: int) -> str:
+    """A complex array nested as ``matrix_to_json`` nests a matrix (one list
+    level per axis, an [re, im] pair per entry), written from its flat real
+    and imaginary parts by one format string, without the nested lists."""
+    newline = ["\n" + "  " * (level + k) for k in range(arr.ndim + 2)]
+    fmt = f"[{newline[-1]}%s,{newline[-1]}%s{newline[-2]}]"
+    for axis in reversed(range(arr.ndim)):
+        n, inner = arr.shape[axis], newline[axis + 1]
+        fmt = f"[{inner}{(',' + inner).join([fmt] * n)}{newline[axis]}]" if n else "[]"
+    parts = np.stack((arr.real, arr.imag), axis=-1).ravel().tolist()
+    # str of a finite float is float.__repr__; NaN and the infinities take
+    # json's spelling.
+    return fmt % (tuple(parts) if np.isfinite(arr).all() else tuple(map(_float_str, parts)))
+
+
+def _encode(obj, level: int) -> str:
+    if isinstance(obj, str):
+        return _encode_str(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        return _float_str(obj)
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = "\n" + "  " * (level + 1)
+        body = ("," + inner).join([_encode(v, level + 1) for v in obj])
+        return f"[{inner}{body}\n{'  ' * level}]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = "\n" + "  " * (level + 1)
+        body = ("," + inner).join(
+            [f"{_key_str(k)}: {_encode(v, level + 1)}" for k, v in sorted(obj.items())]
+        )
+        return f"{{{inner}{body}\n{'  ' * level}}}"
+    if isinstance(obj, np.ndarray) and np.iscomplexobj(obj):
+        return _complex_array_str(obj, level)
+    raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
+
+
+def dumps(obj) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte.
+
+    A complex ``np.ndarray`` may stand anywhere in ``obj``; it is written
+    as ``matrix_to_json`` (or ``complex_to_json`` per entry) would nest it:
+    a 1-D array as a list of [re, im] pairs, a 2-D array as a list of rows,
+    a 3-D array as a list of matrices. Any other type raises ``TypeError``.
+    Unlike ``json``, a reference cycle is not detected; kernelcex documents
+    are trees.
+    """
+    return _encode(obj, 0)
 
 
 def _decoder(fn):

@@ -112,11 +112,16 @@ class Circle(Space):
             raise NonFiniteValue("non-finite angle in the point list")
         return _wrap_angle(arr)
 
+    # Two canonical angles differ by less than 2 pi, so their distance is
+    # min(|d|, 2 pi - |d|); the scalar and the stacked form share it so that
+    # ``points_equal`` and ``all_distinct`` agree.
     def distance(self, x, y) -> float:
-        return abs(_wrap_angle(self.canonicalize(x) - self.canonicalize(y)))
+        d = abs(self.canonicalize(x) - self.canonicalize(y))
+        return min(d, _TWO_PI - d)
 
     def distances(self, X, Y) -> np.ndarray:
-        return np.abs(_wrap_angle(X[:, None] - Y[None, :]))
+        d = np.abs(X[:, None] - Y[None, :])
+        return np.minimum(d, _TWO_PI - d)
 
     def random_point(self, rng: np.random.Generator) -> float:
         return float(rng.uniform(-math.pi, math.pi))

@@ -217,6 +217,12 @@ def test_fourier_analyze_with_a_triple_value_exits_2(tmp_path, capsys):
     _exits_2(capsys, ["fourier", "analyze", "--group", "3", "--input", values], "complex_from_json")
 
 
+def test_fourier_analyze_with_an_object_input_exits_2(tmp_path, capsys):
+    # Iterating the object would hand its keys to complex_from_json.
+    values = _write(tmp_path, "psi.json", {"12": 1, "34": 2})
+    _exits_2(capsys, ["fourier", "analyze", "--group", "2", "--input", values], "list of values")
+
+
 def test_points_object_without_points_key_exits_2(tmp_path, capsys):
     kernel = _write(tmp_path, "k.json", scalar_kernel_to_json(CircleExpCos(Circle())))
     points = _write(tmp_path, "p.json", {"pts": [0.1]})

@@ -12,9 +12,13 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from kernelcex.harness import SuiteConfig, emit_report, list_suites, run_suite
+from kernelcex.kernels import gram
+from kernelcex.numcore import PDKind, classify
+from kernelcex.serialize import complex_to_json, kernel_from_json, matrix_to_json
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 RTOL = 1e-9
@@ -47,8 +51,10 @@ def test_goldens_cover_every_suite():
 @pytest.mark.parametrize("suite", [name for name, _ in list_suites()])
 def test_report_matches_golden(suite):
     want = json.loads((GOLDEN_DIR / f"{suite}.json").read_text())
-    got = json.loads(emit_report(run_suite(SuiteConfig(suite)), format="json"))
+    out = emit_report(run_suite(SuiteConfig(suite)), format="json")
+    got = json.loads(out)
     assert _mismatches(want, got) == []
+    assert out == json.dumps(got, indent=2, sort_keys=True)
 
 
 def test_comparison_catches_a_changed_count_and_a_drifted_float():
@@ -119,4 +125,41 @@ def test_cli_output_matches_golden(name, tmp_path, capsys):
 
     assert main(run_cli_case(name, tmp_path)) == 0
     want = json.loads((CLI_GOLDEN_DIR / f"{name}.json").read_text())
-    assert _mismatches(want, json.loads(capsys.readouterr().out)) == []
+    out = capsys.readouterr().out
+    got = json.loads(out)
+    assert _mismatches(want, got) == []
+    assert out == json.dumps(got, indent=2, sort_keys=True) + "\n"
+
+
+def test_large_gram_output_is_byte_identical_to_json_dumps(tmp_path, capsys):
+    """100 circle angles with the pair {x, x + 1}: a 200 x 200 Gram with a
+    degenerate verdict, written as json.dumps writes its nested-list form."""
+    from kernelcex.cli import main
+
+    rng = np.random.default_rng(3)
+    angles = list(np.linspace(-3.0, 3.0, 99) + rng.uniform(-0.01, 0.01, 99))
+    angles.append(angles[40] + 1.0)
+    kernel = kernel_from_json(CIRCLE_GRID)
+    matrix = gram(kernel, [kernel.space.canonicalize(a) for a in angles])
+    verdict = classify(matrix)
+    assert matrix.dim == 200 and verdict.kind is PDKind.POSITIVE_SEMIDEFINITE_DEGENERATE
+    doc = {
+        "schema_version": 1,
+        "dim": matrix.dim,
+        "gram": matrix_to_json(matrix.entries),
+        "verdict": {
+            "kind": verdict.kind.value,
+            "min_eigenvalue": verdict.min_eigenvalue,
+            "numeric_rank": verdict.numeric_rank,
+            "scale": verdict.scale,
+            "null_vectors": [
+                [complex_to_json(z) for z in verdict.null_vectors[:, j]]
+                for j in range(verdict.null_vectors.shape[1])
+            ],
+        },
+    }
+    (tmp_path / "kernel.json").write_text(json.dumps(CIRCLE_GRID))
+    (tmp_path / "points.json").write_text(json.dumps(angles))
+    argv = ["gram", "--kernel", str(tmp_path / "kernel.json"), "--points", str(tmp_path / "points.json")]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == json.dumps(doc, indent=2, sort_keys=True) + "\n"

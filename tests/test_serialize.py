@@ -1,13 +1,20 @@
+import json
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kernelcex.counterexample import build_shifted, build_unitary
 from kernelcex.errors import ConfigError
 from kernelcex.fourier import FourierSpectrum
 from kernelcex.kernels import CircleExpCos, Composed, DotExp, Gaussian, OffsetKernel
 from kernelcex.serialize import (
+    complex_to_json,
     counterexample_from_json,
     counterexample_to_json,
+    dumps,
     kernel_from_json,
     map_from_json,
     map_to_json,
@@ -172,3 +179,118 @@ def test_malformed_map_raises_config_error(data):
 def test_decoders_report_malformed_documents_as_config_errors(decode, data):
     with pytest.raises(ConfigError, match=r"_from_json: malformed input"):
         decode(data)
+
+
+# ---------------------------------------------------------------------------
+# dumps against json.dumps(indent=2, sort_keys=True)
+
+
+def _reference(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True)
+
+
+def _assert_same_or_both_type_error(doc):
+    try:
+        want = _reference(doc)
+    except TypeError:
+        with pytest.raises(TypeError):
+            dumps(doc)
+        return
+    assert dumps(doc) == want
+
+
+SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e16, 1e-7, 1.5, math.nan, math.inf, -math.inf]
+# Non-ASCII text, control characters, quotes, backslashes and surrogates.
+TEXT = st.text(st.characters(exclude_categories=()), max_size=8) | st.sampled_from(
+    ["", "\u00e9t\u00e9", '"q"', "back\\slash", "\n\t\x00", "\ud800", "\U0001f600", "\u2028"]
+)
+LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+    | st.sampled_from(SPECIAL_FLOATS)
+    | st.builds(np.float64, st.floats(allow_nan=True, allow_infinity=True))
+    | TEXT
+)
+# Types json rejects; each must make both encoders raise TypeError.
+UNSERIALIZABLE = st.sampled_from([object(), {1, 2}, np.int64(3), np.float32(0.5), b"bytes", 1j])
+DOCUMENTS = st.recursive(
+    LEAVES,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=3).map(tuple)
+    | st.dictionaries(TEXT, children, max_size=4),
+    max_leaves=25,
+)
+
+
+@given(DOCUMENTS)
+@settings(max_examples=400, deadline=None)
+def test_dumps_matches_json(doc):
+    assert dumps(doc) == _reference(doc)
+
+
+@given(
+    st.recursive(
+        LEAVES | UNSERIALIZABLE,
+        lambda children: st.lists(children, max_size=3) | st.dictionaries(TEXT, children, max_size=3),
+        max_leaves=10,
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_dumps_matches_json_or_both_raise_type_error(doc):
+    _assert_same_or_both_type_error(doc)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {1: "int", 2.5: "float", -3: "negative"},
+        {True: 1, False: 0},
+        {None: "null"},
+        {math.inf: 1, -math.inf: 2, 0.1: 3},
+        {"a": 1, 2: "mixed keys do not sort"},
+        {(1, 2): "tuple key"},
+        {"x": {"nested": [(), [], {}, ("t",)]}},
+        {"value": np.float64(0.1), "tiny": np.float64(5e-324), "nan": np.float64(math.nan)},
+        [np.float64(-0.0), np.float64(1e16)],
+        np.float64(2.0),
+        "top-level \u00e9",
+    ],
+)
+def test_dumps_matches_json_on_key_types_and_numpy_scalars(doc):
+    _assert_same_or_both_type_error(doc)
+
+
+def _nested_pairs(arr):
+    """The parent encoder's form of a complex array."""
+    if arr.ndim == 1:
+        return [complex_to_json(z) for z in arr]
+    if arr.ndim == 2:
+        return matrix_to_json(arr)
+    return [_nested_pairs(a) for a in arr]
+
+
+@pytest.mark.parametrize(
+    "shape", [(0, 0), (0, 3), (3, 0), (1, 1), (5, 7), (6,), (0,), (2, 3, 4), (2, 0, 3)]
+)
+@pytest.mark.parametrize("special", [None, -0.0, math.nan, math.inf])
+def test_dumps_writes_complex_arrays_as_nested_pairs(shape, special):
+    rng = np.random.default_rng(len(shape))
+    arr = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    if special is not None and arr.size:
+        arr.flat[0] = complex(special, -0.0)
+        arr.flat[-1] = complex(1.0, -special)
+    want = _nested_pairs(arr)
+    assert dumps(arr) == _reference(want)
+    assert dumps({"k": [arr, 1], "z": arr}) == _reference({"k": [want, 1], "z": want})
+
+
+def test_dumps_writes_a_transposed_view_in_its_logical_order():
+    arr = (np.arange(12.0) - 1j * np.arange(12.0)).reshape(3, 4)
+    assert dumps(arr.T) == _reference(matrix_to_json(arr.T))
+
+
+def test_dumps_rejects_a_real_array():
+    with pytest.raises(TypeError):
+        dumps({"values": np.zeros(3)})
