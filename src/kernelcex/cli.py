@@ -94,10 +94,9 @@ def _cmd_orbit(args) -> int:
 
 def _parse_group(text: str) -> FiniteAbelian:
     try:
-        orders = tuple(int(q) for q in text.split(","))
+        return FiniteAbelian(tuple(int(q) for q in text.split(",")))
     except ValueError as exc:
-        raise ConfigError(f"group: expected comma-separated integers, got {text!r}") from exc
-    return FiniteAbelian(orders)
+        raise ConfigError(f"group: expected comma-separated integers of at least 2, got {text!r}") from exc
 
 
 def _cmd_fourier(args) -> int:

@@ -28,7 +28,6 @@ from .numcore import PDVerdict, classify
 from .spaces import FiniteAbelian
 
 STRICT_TOL = 1e-10
-SYNTH_TOL = 1e-10
 MAX_BRUTE_SIZE = 200
 
 
@@ -173,13 +172,13 @@ def strict_criterion(spectrum: FourierSpectrum, strict_tol: float = STRICT_TOL) 
     return spectrum.min_coefficient() > strict_tol
 
 
-def brute_force_strict(kernel, max_size: int = MAX_BRUTE_SIZE) -> PDVerdict:
+def brute_force_strict(kernel) -> PDVerdict:
     """Ground-truth strictness oracle: classify the Gram over all of G."""
     group = kernel.space
     if not isinstance(group, FiniteAbelian):
         raise WrongSpaceKind("brute_force_strict needs a kernel on a FiniteAbelian space")
     ell = kernel.ell if isinstance(kernel, MatrixKernel) else 1
     size = group.order * ell
-    if size > max_size:
-        raise TooLarge(f"dense Gram of size {size} exceeds the {max_size} cap")
+    if size > MAX_BRUTE_SIZE:
+        raise TooLarge(f"dense Gram of size {size} exceeds the {MAX_BRUTE_SIZE} cap")
     return classify(gram(kernel, group.elements()))

@@ -119,6 +119,8 @@ class SuiteConfig:
             raise ConfigError(f"suite: unknown suite {self.suite!r}; see list-suites")
         if not _is_int(self.seed):
             raise ConfigError("seed: must be an integer")
+        if self.seed < 0:
+            raise ConfigError(f"seed: must be nonnegative, got {self.seed}")
         for name in ("n_points", "trials", "projection_trials", "m_max", "probes",
                      "orbit_instances", "spectra"):
             value = getattr(self, name)

@@ -205,7 +205,7 @@ class OffsetKernel(ScalarKernel):
     """Base kernel plus a real additive constant."""
 
     base: ScalarKernel
-    offset: float = 0.0
+    offset: float
 
     @property
     def space(self) -> Space:

@@ -32,19 +32,18 @@ class PDKind(enum.Enum):
 
 @dataclass(frozen=True)
 class HermitianMatrix:
-    """A square complex matrix, Hermitian up to ``herm_tol`` times its scale.
+    """A square complex matrix, Hermitian up to ``HERM_TOL`` times its scale.
 
     Kernel evaluation introduces rounding asymmetry, so the constructor
-    accepts matrices whose asymmetry stays below ``herm_tol`` relative to
+    accepts matrices whose asymmetry stays below ``HERM_TOL`` relative to
     the largest entry magnitude. NaN and infinite entries are rejected.
     Entries are stored read-only.
     """
 
     entries: np.ndarray
-    herm_tol: float = HERM_TOL
 
     def __post_init__(self):
-        arr = _checked_stack(self.entries, 2, self.herm_tol)
+        arr = _checked_stack(self.entries, 2)
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
 
@@ -80,9 +79,9 @@ class PDVerdict:
         return self.kind is PDKind.POSITIVE_SEMIDEFINITE_DEGENERATE
 
 
-def _checked_stack(matrices, ndim: int, herm_tol: float) -> np.ndarray:
+def _checked_stack(matrices, ndim: int) -> np.ndarray:
     """Square complex matrices (ndim 2) or a stack of them (ndim 3), each
-    finite and Hermitian up to ``herm_tol`` times its largest entry."""
+    finite and Hermitian up to ``HERM_TOL`` times its largest entry."""
     arr = np.array(matrices, dtype=np.complex128)
     if arr.ndim != ndim or arr.shape[-1] != arr.shape[-2] or arr.shape[-1] < 1:
         raise DimensionMismatch(f"expected {'a stack of ' if ndim == 3 else 'a '}square "
@@ -91,11 +90,11 @@ def _checked_stack(matrices, ndim: int, herm_tol: float) -> np.ndarray:
         raise NonFiniteValue("matrix has NaN or infinite entries")
     entry_scale = np.max(np.abs(arr), axis=(-2, -1), initial=0.0)
     asym = np.max(np.abs(arr - np.swapaxes(arr, -2, -1).conj()), axis=(-2, -1), initial=0.0)
-    bad = np.ravel(asym > herm_tol * np.maximum(entry_scale, 1e-300))
+    bad = np.ravel(asym > HERM_TOL * np.maximum(entry_scale, 1e-300))
     if bad.any():
         i = int(np.argmax(bad))
         raise NonHermitianInput(
-            f"asymmetry {np.ravel(asym)[i]:.3e} exceeds {herm_tol:.1e} * scale "
+            f"asymmetry {np.ravel(asym)[i]:.3e} exceeds {HERM_TOL:.1e} * scale "
             f"{np.ravel(entry_scale)[i]:.3e}"
         )
     return arr
@@ -186,7 +185,7 @@ def classify_many(matrices, tol: float = PD_TOL) -> BatchVerdict:
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    arr = _checked_stack(matrices, 3, HERM_TOL)
+    arr = _checked_stack(matrices, 3)
     try:
         eigvals = np.linalg.eigvalsh(_symmetrized(arr))
     except np.linalg.LinAlgError as exc:

@@ -3,9 +3,14 @@
 Complex numbers are encoded as [re, im] pairs, complex matrices as nested
 arrays of such pairs. Points follow the space convention: a circle angle is
 a bare number, a Euclidean point an array, a complex-sphere point an array
-of [re, im] pairs, a group element an integer array. A map's parameters are
-its dataclass fields. Every ``*_from_json`` decoder fails closed: a
-malformed document raises ``ConfigError``, never a bare exception.
+of [re, im] pairs, a group element an integer array. Every ``*_from_json``
+decoder fails closed: a malformed document raises ``ConfigError``, never a
+bare exception.
+
+One rule codes spaces, scalar kernels, maps and matrix kernels: a document
+holds a tag (``kind``, ``form`` or ``action_kind``) and the dataclass fields
+(a map's but space and adjoint under ``parameters``). A field without a
+default is required, and a value is decoded by its field's declared type.
 
 ``dumps`` writes every document kernelcex emits.
 """
@@ -15,6 +20,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import typing
 from json.encoder import encode_basestring_ascii as _encode_str
 
 import numpy as np
@@ -54,7 +60,23 @@ from .symmetry import (
 
 SCHEMA_VERSION = 1
 
-_MAP_CLASSES = {
+_SPACES = {
+    "circle": Circle,
+    "euclidean": Euclidean,
+    "complex_sphere": ComplexSphere,
+    "finite_abelian": FiniteAbelian,
+}
+_KERNELS = {
+    "circle_exp_cos": CircleExpCos,
+    "gaussian": Gaussian,
+    "dot_exp": DotExp,
+    "torus_product": TorusProduct,
+    "group_fourier": GroupFourier,
+    "composed": Composed,
+    "offset": OffsetKernel,
+    "zero": ZeroKernel,
+}
+_MAPS = {
     cls.action_kind: cls
     for cls in (
         CircleRotation,
@@ -64,6 +86,7 @@ _MAP_CLASSES = {
         GroupTranslation,
     )
 }
+_field_types = functools.cache(typing.get_type_hints)
 
 
 def _float_str(x: float) -> str:
@@ -175,8 +198,7 @@ def complex_from_json(v) -> complex:
 
 
 def matrix_to_json(matrix) -> list:
-    arr = np.asarray(matrix, dtype=np.complex128)
-    return [[complex_to_json(z) for z in row] for row in arr]
+    return _to_json(np.asarray(matrix, dtype=np.complex128))
 
 
 @_decoder
@@ -185,42 +207,16 @@ def matrix_from_json(rows) -> np.ndarray:
 
 
 def space_to_json(space: Space) -> dict:
-    if isinstance(space, Circle):
-        return {"kind": "circle", "eq_tol": space.eq_tol}
-    if isinstance(space, Euclidean):
-        return {"kind": "euclidean", "dim": space.dim, "eq_tol": space.eq_tol}
-    if isinstance(space, ComplexSphere):
-        return {"kind": "complex_sphere", "dim": space.dim, "eq_tol": space.eq_tol}
-    if isinstance(space, FiniteAbelian):
-        return {"kind": "finite_abelian", "orders": list(space.orders)}
-    raise ConfigError(f"unknown space {space!r}")
+    return _tagged_to_json(space, "kind", _SPACES)
 
 
 @_decoder
 def space_from_json(data: dict) -> Space:
-    kind = data.get("kind")
-    if kind == "circle":
-        return Circle(eq_tol=float(data.get("eq_tol", Circle().eq_tol)))
-    if kind == "euclidean":
-        return Euclidean(dim=int(data["dim"]), eq_tol=float(data.get("eq_tol", 1e-9)))
-    if kind == "complex_sphere":
-        return ComplexSphere(dim=int(data["dim"]), eq_tol=float(data.get("eq_tol", 1e-9)))
-    if kind == "finite_abelian":
-        return FiniteAbelian(orders=tuple(int(q) for q in data["orders"]))
-    raise ConfigError(f"unknown space kind {kind!r}")
+    return _from_fields(_tagged_class(data.get("kind"), _SPACES, "space kind"), data)
 
 
 def point_to_json(space: Space, point):
-    point = space.canonicalize(point)
-    if isinstance(space, Circle):
-        return float(point)
-    if isinstance(space, Euclidean):
-        return [float(c) for c in point]
-    if isinstance(space, ComplexSphere):
-        return [complex_to_json(c) for c in point]
-    if isinstance(space, FiniteAbelian):
-        return [int(c) for c in point]
-    raise ConfigError(f"unknown space {space!r}")
+    return _to_json(space.canonicalize(point))
 
 
 @_decoder
@@ -230,122 +226,99 @@ def point_from_json(space: Space, data):
     return space.canonicalize(data)
 
 
-def _parameter_names(phi_or_class) -> list[str]:
-    """A map's parameters: its dataclass fields but the space and adjoint kind."""
-    fields = dataclasses.fields(phi_or_class)
-    return [f.name for f in fields if f.name not in ("space", "adjoint_kind")]
-
-
 def map_to_json(phi: SymmetryMap) -> dict:
-    params = {name: getattr(phi, name) for name in _parameter_names(phi)}
-    return {
-        "space": space_to_json(phi.space),
-        "action_kind": phi.action_kind,
-        "parameters": {k: list(v) if isinstance(v, tuple) else v for k, v in params.items()},
-        "adjoint": getattr(phi, "adjoint_kind", None),
-    }
+    params = _fields_to_json(phi)
+    space, adjoint = params.pop("space"), params.pop("adjoint_kind")
+    return {"space": space, "action_kind": phi.action_kind, "parameters": params, "adjoint": adjoint}
 
 
 @_decoder
 def map_from_json(data: dict) -> SymmetryMap:
     space = space_from_json(data["space"])
-    kind = data.get("action_kind")
-    cls = _MAP_CLASSES.get(kind)
-    if cls is None:
-        raise ConfigError(f"unknown action kind {kind!r}")
-    params = data.get("parameters", {})
-    params = {name: params[name] for name in _parameter_names(cls)}
-    return cls(space, **params, adjoint_kind=data.get("adjoint"))
+    cls = _tagged_class(data.get("action_kind"), _MAPS, "action kind")
+    # An absent "adjoint" means no partner, whatever the class default.
+    return _from_fields(cls, data.get("parameters", {}), space=space, adjoint_kind=data.get("adjoint"))
 
 
 def scalar_kernel_to_json(kernel: ScalarKernel) -> dict:
-    if isinstance(kernel, CircleExpCos):
-        return {"form": "circle_exp_cos", "space": space_to_json(kernel.space)}
-    if isinstance(kernel, Gaussian):
-        return {
-            "form": "gaussian",
-            "space": space_to_json(kernel.space),
-            "sigma": kernel.sigma,
-        }
-    if isinstance(kernel, DotExp):
-        return {
-            "form": "dot_exp",
-            "space": space_to_json(kernel.space),
-            "scale": kernel.scale,
-            "shift": kernel.shift,
-        }
-    if isinstance(kernel, TorusProduct):
-        return {"form": "torus_product", "space": space_to_json(kernel.space)}
-    if isinstance(kernel, GroupFourier):
-        return {
-            "form": "group_fourier",
-            "space": space_to_json(kernel.space),
-            "coefficients": [complex_to_json(c) for c in kernel.coefficients],
-        }
-    if isinstance(kernel, Composed):
-        return {
-            "form": "composed",
-            "base": scalar_kernel_to_json(kernel.base),
-            "left": map_to_json(kernel.left) if kernel.left is not None else None,
-            "right": map_to_json(kernel.right) if kernel.right is not None else None,
-        }
-    if isinstance(kernel, OffsetKernel):
-        return {
-            "form": "offset",
-            "base": scalar_kernel_to_json(kernel.base),
-            "offset": kernel.offset,
-        }
-    if isinstance(kernel, ZeroKernel):
-        return {"form": "zero", "space": space_to_json(kernel.space)}
-    raise ConfigError(f"cannot serialize kernel {kernel!r}")
+    return _tagged_to_json(kernel, "form", _KERNELS)
 
 
 @_decoder
 def scalar_kernel_from_json(data: dict) -> ScalarKernel:
-    form = data.get("form")
-    if form == "circle_exp_cos":
-        return CircleExpCos(space_from_json(data["space"]))
-    if form == "gaussian":
-        return Gaussian(space_from_json(data["space"]), sigma=float(data.get("sigma", 1.0)))
-    if form == "dot_exp":
-        return DotExp(
-            space_from_json(data["space"]),
-            scale=float(data.get("scale", 1.0)),
-            shift=float(data.get("shift", 0.0)),
-        )
-    if form == "torus_product":
-        return TorusProduct(space_from_json(data["space"]))
-    if form == "group_fourier":
-        space = space_from_json(data["space"])
-        coeffs = tuple(complex_from_json(c) for c in data["coefficients"])
-        return GroupFourier(space, coeffs)
-    if form == "composed":
-        base = scalar_kernel_from_json(data["base"])
-        left = map_from_json(data["left"]) if data.get("left") else None
-        right = map_from_json(data["right"]) if data.get("right") else None
-        return Composed(base, left, right)
-    if form == "offset":
-        return OffsetKernel(scalar_kernel_from_json(data["base"]), float(data["offset"]))
-    if form == "zero":
-        return ZeroKernel(space_from_json(data["space"]))
-    raise ConfigError(f"unknown kernel form {form!r}")
+    return _from_fields(_tagged_class(data.get("form"), _KERNELS, "kernel form"), data)
 
 
-def matrix_kernel_to_json(kernel: MatrixKernel) -> dict:
-    return {
-        "space": space_to_json(kernel.space),
-        "ell": kernel.ell,
-        "entries": [[scalar_kernel_to_json(e) for e in row] for row in kernel.entries],
-    }
+def _tagged_class(tag, table: dict, what: str) -> type:
+    cls = table.get(tag) if isinstance(tag, str) else None
+    if cls is None:
+        raise ConfigError(f"unknown {what} {tag!r}")
+    return cls
+
+
+def _tagged_to_json(obj, key: str, table: dict) -> dict:
+    for tag, cls in table.items():
+        if type(obj) is cls:
+            return {key: tag, **_fields_to_json(obj)}
+    raise ConfigError(f"cannot serialize {obj!r}")
+
+
+def _fields_to_json(obj) -> dict:
+    return {f.name: _to_json(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+
+
+def _to_json(value):
+    """The one value encoder: codec types by their codec, sequences as lists."""
+    for base, encode, _ in _CODECS:
+        if isinstance(value, base):
+            return encode(value)
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if isinstance(value, (tuple, list)):
+        return [_to_json(v) for v in value]
+    return value
+
+
+def _from_fields(cls, doc: dict, **given):
+    """``cls`` from ``given`` and ``doc``; a missing required field is a ``KeyError``."""
+    types = _field_types(cls)
+    for f in dataclasses.fields(cls):
+        if f.name in given:
+            continue
+        if f.name in doc:
+            given[f.name] = _decode(types[f.name], doc[f.name])
+        elif f.default is dataclasses.MISSING:
+            raise KeyError(f.name)
+    return cls(**given)
+
+
+def _decode(tp, value):
+    """A field value decoded by the field's declared type ``tp``."""
+    args = typing.get_args(tp)
+    if typing.get_origin(tp) is tuple:
+        # A tuple of real numbers goes as is; its class's constructor converts it.
+        return value if args[0] in (float, int) else tuple(_decode(args[0], v) for v in value)
+    if type(None) in args:
+        # ``T | None``: a null or empty value is None.
+        return _decode(args[0], value) if value else None
+    for base, _, decode in _CODECS:
+        if issubclass(tp, base):
+            return decode(value)
+    return tp(value)
+
+
+# (type, encoder, decoder) of every value type that is not a JSON scalar.
+_CODECS = (
+    (Space, space_to_json, space_from_json),
+    (ScalarKernel, scalar_kernel_to_json, scalar_kernel_from_json),
+    (SymmetryMap, map_to_json, map_from_json),
+    (complex, complex_to_json, complex_from_json),
+)
 
 
 @_decoder
 def matrix_kernel_from_json(data: dict) -> MatrixKernel:
-    space = space_from_json(data["space"])
-    entries = tuple(
-        tuple(scalar_kernel_from_json(e) for e in row) for row in data["entries"]
-    )
-    return MatrixKernel(space=space, ell=int(data["ell"]), entries=entries)
+    return _from_fields(MatrixKernel, data)
 
 
 def counterexample_to_json(cex: CounterexampleKernel) -> dict:

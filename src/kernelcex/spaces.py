@@ -218,7 +218,7 @@ class ComplexSphere(Space):
 class FiniteAbelian(Space):
     """Product of cyclic groups Z_q1 x ... x Z_ql, written additively.
 
-    Equality is exact, so ``eq_tol`` plays no role here.
+    Equality is exact: ``eq_tol`` is 0, and distinct elements are 1 apart.
     """
 
     orders: tuple[int, ...]
@@ -246,6 +246,8 @@ class FiniteAbelian(Space):
             raise _bad_group_element(x) from exc
         if len(coords) != len(self.orders):
             raise SpaceMismatch(f"expected {len(self.orders)} coordinates, got {x!r}")
+        if any(c != v for c, v in zip(coords, x)):
+            raise SpaceMismatch(f"non-integral group coordinate in {x!r}")
         return tuple(c % q for c, q in zip(coords, self.orders))
 
     def stack(self, points) -> np.ndarray:
@@ -261,9 +263,6 @@ class FiniteAbelian(Space):
         for r in range(len(self.orders)):
             differ |= X[:, r, None] != Y[None, :, r]
         return differ.astype(np.float64)
-
-    def points_equal(self, x, y) -> bool:
-        return self.canonicalize(x) == self.canonicalize(y)
 
     def elements(self) -> list[tuple[int, ...]]:
         return [tuple(e) for e in product(*(range(q) for q in self.orders))]

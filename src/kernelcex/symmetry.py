@@ -72,7 +72,7 @@ class SymmetryMap:
 
 @dataclass(frozen=True)
 class CircleRotation(SymmetryMap):
-    angle: float = 0.0
+    angle: float
     adjoint_kind: str | None = "inverse"
 
     action_kind = "circle_rotation"
@@ -95,7 +95,7 @@ class CircleRotation(SymmetryMap):
 
 @dataclass(frozen=True)
 class EuclideanTranslation(SymmetryMap):
-    offset: tuple[float, ...] = ()
+    offset: tuple[float, ...]
     adjoint_kind: str | None = None
 
     action_kind = "euclidean_translation"
@@ -127,7 +127,7 @@ class EuclideanTranslation(SymmetryMap):
 
 @dataclass(frozen=True)
 class EuclideanScaling(SymmetryMap):
-    ratio: float = 1.0
+    ratio: float
     adjoint_kind: str | None = "self"
 
     action_kind = "euclidean_scaling"
@@ -154,7 +154,7 @@ class EuclideanScaling(SymmetryMap):
 class ComplexSphereRotation(SymmetryMap):
     """Multiplication by the unit scalar exp(i*angle), a unitary map."""
 
-    angle: float = 0.0
+    angle: float
     adjoint_kind: str | None = "inverse"
 
     action_kind = "complex_sphere_rotation"
@@ -180,7 +180,7 @@ class ComplexSphereRotation(SymmetryMap):
 
 @dataclass(frozen=True)
 class GroupTranslation(SymmetryMap):
-    element: tuple[int, ...] = ()
+    element: tuple[int, ...]
     adjoint_kind: str | None = "inverse"
 
     action_kind = "group_translation"

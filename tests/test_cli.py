@@ -234,6 +234,34 @@ def test_verify_config_list_exits_2(tmp_path, capsys):
     _exits_2(capsys, ["verify", "circle-example1", "--config", config], "JSON object")
 
 
+@pytest.mark.parametrize("mode", ["analyze", "synthesize"])
+@pytest.mark.parametrize("group", ["1", "0", "-3", "2,1"])
+def test_fourier_group_with_an_order_below_2_exits_2(tmp_path, capsys, mode, group):
+    values = _write(tmp_path, "f.json", [1, 2])
+    _exits_2(capsys, ["fourier", mode, "--group", group, "--input", values], "group")
+
+
+def test_verify_negative_seed_exits_2(tmp_path, capsys):
+    _exits_2(capsys, ["verify", "negative-controls", "--seed", "-1"], "seed")
+    config = _write(tmp_path, "cfg.json", {"seed": -1})
+    _exits_2(capsys, ["verify", "negative-controls", "--config", config], "seed")
+
+
+def test_gram_with_non_integral_group_points_exits_2(tmp_path, capsys):
+    config = {
+        "form": "group_fourier",
+        "space": {"kind": "finite_abelian", "orders": [4]},
+        "coefficients": [1.0, 0.5, 0.25, 0.125],
+    }
+    kernel = _write(tmp_path, "k.json", config)
+    points = _write(tmp_path, "p.json", [[0.5], [1.5], [2.9]])
+    _exits_2(capsys, ["gram", "--kernel", kernel, "--points", points], "non-integral")
+    # Integral floats name group elements as before.
+    points = _write(tmp_path, "p.json", [[0.0], [1.0], [2]])
+    assert main(["gram", "--kernel", kernel, "--points", points]) == 0
+    assert json.loads(capsys.readouterr().out)["dim"] == 3
+
+
 # Valid inputs for the mutation property: (argv with {file} placeholders,
 # files, the file to mutate). Generated integers stay small, so that no
 # mutation is a well-formed request for an enormous computation.

@@ -46,6 +46,13 @@ def test_nonpositive_counts_rejected():
         SuiteConfig(suite="circle-example1", trials=0).validate()
 
 
+def test_negative_seed_rejected():
+    # numpy's seed sequence takes no negative entropy.
+    with pytest.raises(ConfigError, match="seed"):
+        SuiteConfig.from_dict({"suite": "negative-controls", "seed": -1})
+    SuiteConfig.from_dict({"suite": "negative-controls", "seed": 0})
+
+
 def test_too_many_points_for_group_rejected():
     with pytest.raises(ConfigError):
         SuiteConfig(suite="abelian-roundtrip", group=(2, 3), n_points=7).validate()

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -9,7 +10,17 @@ from hypothesis import strategies as st
 from kernelcex.counterexample import build_shifted, build_unitary
 from kernelcex.errors import ConfigError
 from kernelcex.fourier import FourierSpectrum
-from kernelcex.kernels import CircleExpCos, Composed, DotExp, Gaussian, OffsetKernel
+from kernelcex import serialize
+from kernelcex.kernels import (
+    CircleExpCos,
+    Composed,
+    DotExp,
+    Gaussian,
+    GroupFourier,
+    OffsetKernel,
+    TorusProduct,
+    ZeroKernel,
+)
 from kernelcex.serialize import (
     complex_to_json,
     counterexample_from_json,
@@ -39,10 +50,44 @@ from kernelcex.symmetry import (
 )
 
 
-@pytest.mark.parametrize(
-    "space",
-    [Circle(), Euclidean(3), ComplexSphere(2), FiniteAbelian((2, 3))],
-)
+# One example per entry of each tag table; test_examples_cover_every_tag
+# fails when a table gains a class without one. Field values differ from
+# the defaults, so that a dropped default shows.
+SPACES = [Circle(eq_tol=1e-8), Euclidean(3, eq_tol=1e-7), ComplexSphere(2, eq_tol=1e-6), FiniteAbelian((2, 3))]
+MAPS = [
+    CircleRotation(Circle(), 1.0),
+    EuclideanTranslation(Euclidean(2), (1.0, -0.5), adjoint_kind="inverse"),
+    EuclideanScaling(Euclidean(2), 2.0),
+    ComplexSphereRotation(ComplexSphere(2), 0.7),
+    GroupTranslation(FiniteAbelian((2, 3)), (1, 2)),
+]
+KERNELS = [
+    CircleExpCos(Circle()),
+    Gaussian(Euclidean(3), sigma=0.5),
+    DotExp(Euclidean(2), scale=2.0, shift=1.0),
+    OffsetKernel(DotExp(Euclidean(2)), -1.0),
+    Composed(CircleExpCos(Circle()), CircleRotation(Circle(), 1.0), None),
+    TorusProduct(Euclidean(2)),
+    GroupFourier(FiniteAbelian((2, 2)), (1.0, 0.5 + 0.25j, 0.25, 0.0)),
+    ZeroKernel(ComplexSphere(2)),
+    Composed(Gaussian(Euclidean(2)), None, EuclideanScaling(Euclidean(2), 2.0)),
+    Composed(CircleExpCos(Circle()), CircleRotation(Circle(), 1.0), CircleRotation(Circle(), -0.5)),
+]
+TABLES = [
+    (SPACES, serialize._SPACES, "kind", space_to_json),
+    (MAPS, serialize._MAPS, "action_kind", map_to_json),
+    (KERNELS, serialize._KERNELS, "form", scalar_kernel_to_json),
+]
+
+
+@pytest.mark.parametrize("examples, table, key, encode", TABLES, ids=["space", "map", "kernel"])
+def test_examples_cover_every_tag(examples, table, key, encode):
+    assert {type(obj) for obj in examples} == set(table.values())
+    for obj in examples:
+        assert table[encode(obj)[key]] is type(obj)
+
+
+@pytest.mark.parametrize("space", SPACES)
 def test_space_roundtrip(space):
     assert space_from_json(space_to_json(space)) == space
 
@@ -66,32 +111,75 @@ def test_complex_matrix_roundtrip():
     np.testing.assert_allclose(matrix_from_json(matrix_to_json(m)), m)
 
 
-@pytest.mark.parametrize(
-    "phi",
-    [
-        CircleRotation(Circle(), 1.0),
-        EuclideanTranslation(Euclidean(2), (1.0, -0.5), adjoint_kind="inverse"),
-        EuclideanScaling(Euclidean(2), 2.0),
-        ComplexSphereRotation(ComplexSphere(2), 0.7),
-        GroupTranslation(FiniteAbelian((2, 3)), (1, 2)),
-    ],
-)
+@pytest.mark.parametrize("phi", MAPS)
 def test_map_roundtrip(phi):
     assert map_from_json(map_to_json(phi)) == phi
 
 
-@pytest.mark.parametrize(
-    "kernel",
-    [
-        CircleExpCos(Circle()),
-        Gaussian(Euclidean(3), sigma=0.5),
-        DotExp(Euclidean(2), scale=2.0, shift=1.0),
-        OffsetKernel(DotExp(Euclidean(2)), -1.0),
-        Composed(CircleExpCos(Circle()), CircleRotation(Circle(), 1.0), None),
-    ],
-)
+@pytest.mark.parametrize("kernel", KERNELS)
 def test_scalar_kernel_roundtrip(kernel):
     assert scalar_kernel_from_json(scalar_kernel_to_json(kernel)) == kernel
+
+
+def _field_cases():
+    """(decoder, example, document, field) for every field of the last
+    example of each space and kernel class."""
+    for decode, examples, encode in (
+        (space_from_json, SPACES, space_to_json),
+        (scalar_kernel_from_json, KERNELS, scalar_kernel_to_json),
+    ):
+        for obj in {type(obj): obj for obj in examples}.values():
+            for field in dataclasses.fields(obj):
+                yield pytest.param(
+                    decode, obj, encode(obj), field, id=f"{type(obj).__name__}-{field.name}"
+                )
+
+
+@pytest.mark.parametrize("decode, obj, doc, field", list(_field_cases()))
+def test_left_out_field_takes_its_default_or_is_required(decode, obj, doc, field):
+    del doc[field.name]
+    if field.default is dataclasses.MISSING:
+        with pytest.raises(ConfigError, match=f"KeyError: '{field.name}'"):
+            decode(doc)
+    else:
+        assert decode(doc) == dataclasses.replace(obj, **{field.name: field.default})
+
+
+@pytest.mark.parametrize("phi", MAPS)
+def test_every_map_parameter_is_required(phi):
+    doc = map_to_json(phi)
+    assert doc["parameters"]
+    for name in list(doc["parameters"]):
+        params = {k: v for k, v in doc["parameters"].items() if k != name}
+        with pytest.raises(ConfigError, match=f"KeyError: '{name}'"):
+            map_from_json({**doc, "parameters": params})
+
+
+def test_offset_is_a_float_on_a_kernel_and_a_tuple_on_a_translation():
+    kernel = scalar_kernel_from_json(
+        {"form": "offset", "base": {"form": "dot_exp", "space": {"kind": "euclidean", "dim": 1}},
+         "offset": "2"}
+    )
+    assert kernel.offset == 2.0 and isinstance(kernel.offset, float)
+    phi = map_from_json(
+        {"space": {"kind": "euclidean", "dim": 1}, "action_kind": "euclidean_translation",
+         "parameters": {"offset": [2]}}
+    )
+    assert phi.offset == (2.0,)
+
+
+def test_composed_reads_a_null_or_empty_map_as_none():
+    base = {"form": "circle_exp_cos", "space": {"kind": "circle"}}
+    for empty in (None, {}, []):
+        doc = {"form": "composed", "base": base, "left": empty, "right": empty}
+        assert scalar_kernel_from_json(doc) == Composed(CircleExpCos(Circle()), None, None)
+
+
+@pytest.mark.parametrize(
+    "name", sorted(n for n in dir(serialize) if n.endswith("_from_json") and not n.startswith("_"))
+)
+def test_every_public_decoder_fails_closed(name):
+    assert hasattr(getattr(serialize, name), "__wrapped__"), f"{name} is not wrapped by _decoder"
 
 
 def test_counterexample_roundtrip_unitary():

@@ -39,6 +39,16 @@ def test_finite_abelian_equality_accepts_bare_int():
     assert not s.points_equal(2, 1)
 
 
+def test_finite_abelian_rejects_non_integral_coordinates():
+    s = FiniteAbelian((4, 3))
+    for x in ([2.7, 0], (0, 0.5), np.array([1.5, 2.0]), [1, 1 + 1e-12]):
+        with pytest.raises(SpaceMismatch, match="non-integral"):
+            s.canonicalize(x)
+    for x in ([6, -1], (np.int64(6), np.int32(2)), [2.0, 5.0], np.array([6.0, 2.0]), np.array([6, 2])):
+        assert s.canonicalize(x) == (2, 2)
+    assert FiniteAbelian((3,)).canonicalize(np.int64(5)) == (2,)
+
+
 def test_complex_sphere_rejects_non_unit_points():
     s = ComplexSphere(2)
     with pytest.raises(SpaceMismatch):
