@@ -137,6 +137,8 @@ class SuiteConfig:
             if value <= 0:
                 raise ConfigError(f"{name}: must be positive")
         if self.group is not None:
+            if not self.group:
+                raise ConfigError("group: must list at least one cyclic order")
             if any(q < 2 for q in self.group):
                 raise ConfigError("group: every cyclic order must be at least 2")
             if math.prod(self.group) < self.n_points and self.suite.startswith("abelian"):
@@ -733,25 +735,31 @@ def _suite_complex_sphere(cfg: SuiteConfig) -> list[CheckRecord]:
 
 
 def _orbit_oracle(phi: SymmetryMap, pts):
+    """Brute-force orbit split: F, tau and the merged point set as a stack.
+
+    ``tau[mu]`` is the first input point that the image of point mu hits;
+    the merged set keeps each image, then each input point, that coincides
+    with none kept before it.
+    """
     space = phi.space
-    images = [phi.apply(p) for p in pts]
-    n = len(pts)
-    F = []
-    tau = {}
-    for mu in range(n):
-        for nu in range(n):
-            if space.points_equal(images[mu], pts[nu]):
-                F.append(mu)
-                tau[mu] = nu
-                break
-    merged = []
-    for cand in list(images) + list(pts):
-        if not any(space.points_equal(cand, q) for q in merged):
-            merged.append(cand)
-    return F, tau, merged
+    X = space.stack(pts)
+    images = phi.apply_many(X)
+    hits = space.distances(images, X) <= space.eq_tol
+    F = np.flatnonzero(hits.any(axis=1)).tolist()
+    tau = dict(zip(F, hits[F].argmax(axis=1).tolist()))
+    cands = np.concatenate([images, X])
+    close = space.distances(cands, cands) <= space.eq_tol
+    kept: list[int] = []
+    for i in range(len(cands)):
+        if not close[i, kept].any():
+            kept.append(i)
+    return F, tau, cands[kept]
 
 
 def _orbit_instance(idx: int, rng: np.random.Generator):
+    """A map and a stack of up to 10 points, pairwise more than ``min_gap``
+    apart; each candidate is, at even odds, the image of an accepted point
+    or a fresh draw."""
     family = idx % 3
     n = int(rng.integers(2, 11))
     if family == 0:
@@ -771,17 +779,22 @@ def _orbit_instance(idx: int, rng: np.random.Generator):
         seeder = lambda: rng.uniform(-math.pi, math.pi)
         min_gap = 1e-3
 
-    pts = [space.canonicalize(seeder())]
+    first = space.stack([seeder()])
+    X = np.empty((n,) + first.shape[1:])
+    X[0] = first[0]
+    k = 1
     guard = 0
-    while len(pts) < n and guard < 500:
+    while k < n and guard < 500:
         guard += 1
         if rng.random() < 0.5:
-            cand = phi.apply(pts[int(rng.integers(len(pts)))])
+            j = int(rng.integers(k))
+            cand = phi.apply_many(X[j : j + 1])
         else:
-            cand = space.canonicalize(seeder())
-        if all(space.distance(cand, p) > min_gap for p in pts):
-            pts.append(cand)
-    return phi, pts
+            cand = space.stack([seeder()])
+        if (space.distances(cand, X[:k]) > min_gap).all():
+            X[k] = cand[0]
+            k += 1
+    return phi, X[:k]
 
 
 def _suite_orbit(cfg: SuiteConfig) -> list[CheckRecord]:
@@ -799,13 +812,15 @@ def _suite_orbit(cfg: SuiteConfig) -> list[CheckRecord]:
             mismatches += 1
             continue
         checked += 1
+        # close[i, j]: z point i coincides with merged point j.
+        close = space.distances(space.stack(dec.z_points), merged) <= space.eq_tol
         ok = (
             list(dec.F) == F
             and dec.tau == tau
             and dec.m + 2 * dec.p == len(merged)
             and len(dec.z_points) == len(merged)
-            and all(any(space.points_equal(z, q) for q in merged) for z in dec.z_points)
-            and all(any(space.points_equal(q, z) for z in dec.z_points) for q in merged)
+            and close.any(axis=1).all()
+            and close.any(axis=0).all()
         )
         if not ok:
             mismatches += 1
@@ -865,7 +880,7 @@ def _random_matrix_spectrum(group: FiniteAbelian, ell: int, rng: np.random.Gener
 
 
 def _suite_abelian_roundtrip(cfg: SuiteConfig) -> list[CheckRecord]:
-    group = FiniteAbelian(cfg.group) if cfg.group else FiniteAbelian((3, 4))
+    group = FiniteAbelian(cfg.group) if cfg.group is not None else FiniteAbelian((3, 4))
     rng = _rng(cfg, 41)
     worst_roundtrip = 0.0
     worst_parseval = 0.0

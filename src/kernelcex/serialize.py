@@ -296,14 +296,29 @@ def _decode(tp, value):
     """A field value decoded by the field's declared type ``tp``."""
     args = typing.get_args(tp)
     if typing.get_origin(tp) is tuple:
-        # A tuple of real numbers goes as is; its class's constructor converts it.
-        return value if args[0] in (float, int) else tuple(_decode(args[0], v) for v in value)
+        if args[0] not in (float, int):
+            return tuple(_decode(args[0], v) for v in value)
+        # A tuple of real numbers goes as is, once each entry (or a lone
+        # number) is checked; its class's constructor converts it.
+        for v in value if isinstance(value, (list, tuple)) else (value,):
+            _number(args[0], v)
+        return value
     if type(None) in args:
-        # ``T | None``: a null or empty value is None.
-        return _decode(args[0], value) if value else None
+        # ``T | None``: only null is None.
+        return None if value is None else _decode(args[0], value)
     for base, _, decode in _CODECS:
         if issubclass(tp, base):
             return decode(value)
+    return _number(tp, value)
+
+
+def _number(tp, value):
+    """``value`` as a ``tp`` (float or int). A bool or a string is a
+    ``TypeError``, and for an int field so is a number that is not integral."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    if tp is int and isinstance(value, float) and not value.is_integer():
+        raise TypeError(f"expected an integer, got {value!r}")
     return tp(value)
 
 

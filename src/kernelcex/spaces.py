@@ -6,8 +6,9 @@ finite products of cyclic groups. Points are plain values (float, real
 array, complex array, integer tuple); the space objects own canonical
 forms, metrics, and equality. ``Space.stack`` turns a point list into one
 array of canonical points (``(n,)`` angles, ``(n, d)`` coordinates or
-``(n, r)`` group elements), and ``Space.distances`` measures every pair of
-two such stacks at once; the vectorised kernels and the sampler work on
+``(n, r)`` group elements), ``Space.unstack`` turns a stack back into a
+point list, and ``Space.distances`` measures every pair of two such stacks
+at once; the vectorised kernels, the sampler and the orbit split work on
 stacks.
 """
 
@@ -61,6 +62,10 @@ class Space:
         """
         raise NotImplementedError
 
+    def unstack(self, X) -> list:
+        """The rows of a stack as points of the type ``canonicalize`` returns."""
+        return list(X)
+
     def distance(self, x, y) -> float:
         raise NotImplementedError
 
@@ -111,6 +116,9 @@ class Circle(Space):
         if not np.isfinite(arr).all():
             raise NonFiniteValue("non-finite angle in the point list")
         return _wrap_angle(arr)
+
+    def unstack(self, X) -> list[float]:
+        return X.tolist()
 
     # Two canonical angles differ by less than 2 pi, so their distance is
     # min(|d|, 2 pi - |d|); the scalar and the stacked form share it so that
@@ -253,6 +261,9 @@ class FiniteAbelian(Space):
     def stack(self, points) -> np.ndarray:
         elements = [self.canonicalize(p) for p in points]
         return np.array(elements, dtype=np.int64).reshape(len(elements), len(self.orders))
+
+    def unstack(self, X) -> list[tuple[int, ...]]:
+        return [tuple(e) for e in X.tolist()]
 
     def distance(self, x, y) -> float:
         return 0.0 if self.canonicalize(x) == self.canonicalize(y) else 1.0

@@ -312,31 +312,29 @@ def orbit_decompose(phi: SymmetryMap, points) -> OrbitDecomposition:
     the caller-asserted hypotheses on these points.
     """
     space = phi.space
-    pts = [space.canonicalize(p) for p in points]
-    n = len(pts)
+    X = space.stack(points)
+    n = len(X)
     if n == 0:
         raise ValueError("points must be nonempty")
-    images = [phi.apply(p) for p in pts]
-    image_stack = space.stack(images)
+    images = phi.apply_many(X)
 
-    shared = np.argwhere(np.triu(space.distances(image_stack, image_stack) <= space.eq_tol, 1))
+    shared = np.argwhere(np.triu(space.distances(images, images) <= space.eq_tol, 1))
     if len(shared):
         i, j = shared[0]
         raise InjectivityViolation(f"points at indices {i} and {j} share an image")
 
     # hits[mu, nu]: the image of point mu coincides with point nu.
-    hits = space.distances(image_stack, space.stack(pts)) <= space.eq_tol
-    tau: dict[int, int] = {}
-    for mu in range(n):
-        matches = np.flatnonzero(hits[mu]).tolist()
-        if len(matches) > 1:
-            raise InjectivityViolation(
-                f"image of index {mu} matches several input points {matches}; "
-                "point separation is too small for the equality tolerance"
-            )
-        if matches:
-            tau[mu] = matches[0]
-    F = sorted(tau)
+    hits = space.distances(images, X) <= space.eq_tol
+    counts = hits.sum(axis=1)
+    crowded = np.flatnonzero(counts > 1)
+    if len(crowded):
+        mu = crowded[0]
+        raise InjectivityViolation(
+            f"image of index {mu} matches several input points {np.flatnonzero(hits[mu]).tolist()}; "
+            "point separation is too small for the equality tolerance"
+        )
+    F = np.flatnonzero(counts).tolist()
+    tau = dict(zip(F, hits[F].argmax(axis=1).tolist()))
     m = len(F)
     p = n - m
     if m == n:
@@ -354,9 +352,6 @@ def orbit_decompose(phi: SymmetryMap, points) -> OrbitDecomposition:
                 raise PeriodicityDetected(f"tau cycles through index {cur}")
             seen.add(cur)
 
-    tau_image = set(tau.values())
-    block_hit = [pts[tau[mu]] for mu in sorted(F, key=lambda mu: tau[mu])]
-    block_fresh = [images[mu] for mu in range(n) if mu not in F_set]
-    block_left = [pts[mu] for mu in range(n) if mu not in tau_image]
-    z_points = tuple(block_hit + block_fresh + block_left)
-    return OrbitDecomposition(F=tuple(F), tau=tau, m=m, p=p, z_points=z_points)
+    hit = hits.any(axis=0)
+    z = np.concatenate([X[hit], images[counts == 0], X[~hit]])
+    return OrbitDecomposition(F=tuple(F), tau=tau, m=m, p=p, z_points=tuple(space.unstack(z)))

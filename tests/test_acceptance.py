@@ -9,8 +9,9 @@ import time
 
 import numpy as np
 
+from kernelcex import harness
 from kernelcex.counterexample import build_shifted, build_unitary, embed, witness
-from kernelcex.harness import _sample_merged
+from kernelcex.harness import SuiteConfig, _sample_merged
 from kernelcex.kernels import (
     CircleExpCos,
     DotExp,
@@ -223,6 +224,95 @@ def test_criterion_4_orbit_decomposition_oracle():
     _line(4, "orbit-decomposition", ok, elapsed, 1)
     assert mismatches == 0
     assert elapsed < 1.0, elapsed
+
+
+def _assert_oracles_agree(phi, pts):
+    """The stacked harness oracle against the scalar one above: the same F
+    and tau, and the same merged points in the same order."""
+    space = phi.space
+    F, tau, merged = harness._orbit_oracle(phi, pts)
+    F_ref, tau_ref, merged_ref = _orbit_oracle(phi, list(pts))
+    assert F == F_ref and tau == tau_ref
+    assert len(merged) == len(merged_ref)
+    assert (np.diag(space.distances(merged, space.stack(merged_ref))) <= space.eq_tol).all()
+
+
+def _seam_and_tolerance_instances():
+    """Circle instances whose image and point straddle +-pi, and Euclidean
+    ones with points 0.5 and 2 times eq_tol from an image."""
+    circle = Circle()
+    turn = CircleRotation(circle, 1.0)
+    yield turn, [math.pi - 1.0 - 2e-10, -math.pi + 3e-10]  # hit across the seam
+    yield turn, [math.pi - 1.0 - 2e-10, -math.pi + 2e-9]  # miss across the seam
+    yield turn, [math.pi - 0.5, -math.pi + 0.5 - 3e-10, 2.0]  # the image wraps past pi
+    for line in (Euclidean(1), Euclidean(2, eq_tol=1e-6)):
+        step = np.zeros(line.dim)
+        step[0] = 1.0
+        tol = line.eq_tol
+        near = np.full(line.dim, 0.5 * tol / math.sqrt(line.dim))
+        far = np.full(line.dim, 2.0 * tol / math.sqrt(line.dim))
+        phi = EuclideanTranslation(line, tuple(step))
+        yield phi, [np.zeros(line.dim), step + near, 5.0 * step, 6.0 * step + far]
+
+
+def _scalar_harness_instance(idx, rng):
+    """``harness._orbit_instance`` as it was before it moved to stacks: one
+    point at a time, every distance taken by ``Space.distance``."""
+    family = idx % 3
+    n = int(rng.integers(2, 11))
+    if family == 0:
+        space = Euclidean(1)
+        phi = EuclideanTranslation(space, (float(rng.uniform(0.4, 1.6)),))
+        seeder = lambda: rng.uniform(-8.0, 8.0, 1)
+    elif family == 1:
+        space = Euclidean(1)
+        phi = EuclideanScaling(space, float(rng.choice([2.0, -2.0, 1.5, 2.5])))
+        seeder = lambda: np.array([rng.uniform(0.2, 3.0) * rng.choice([-1.0, 1.0])])
+    else:
+        space = Circle()
+        phi = CircleRotation(space, float(rng.uniform(0.3, 2.6)))
+        seeder = lambda: rng.uniform(-math.pi, math.pi)
+    pts = [space.canonicalize(seeder())]
+    guard = 0
+    while len(pts) < n and guard < 500:
+        guard += 1
+        if rng.random() < 0.5:
+            cand = phi.apply(pts[int(rng.integers(len(pts)))])
+        else:
+            cand = space.canonicalize(seeder())
+        if all(space.distance(cand, p) > 1e-3 for p in pts):
+            pts.append(cand)
+    return phi, pts
+
+
+def test_stacked_orbit_instances_draw_the_scalar_instances():
+    for seed in (1, 7, 42):
+        cfg = SuiteConfig("orbit-decomposition", seed=seed)
+        for idx in range(200):
+            phi, pts = harness._orbit_instance(idx, harness._rng(cfg, 31, idx))
+            phi_ref, pts_ref = _scalar_harness_instance(idx, harness._rng(cfg, 31, idx))
+            assert phi == phi_ref
+            assert np.array_equal(pts, phi.space.stack(pts_ref))
+
+
+def test_stacked_orbit_oracle_matches_the_scalar_oracle():
+    for seed in (1, 7, 42):
+        cfg = SuiteConfig("orbit-decomposition", seed=seed)
+        for idx in range(200):
+            _assert_oracles_agree(*harness._orbit_instance(idx, harness._rng(cfg, 31, idx)))
+    for phi, pts in _seam_and_tolerance_instances():
+        _assert_oracles_agree(phi, pts)
+
+
+def test_seam_and_tolerance_instances_split_as_expected():
+    expected = [({0: 1}, 3), ({}, 4), ({0: 1}, 5), ({0: 1}, 7), ({0: 1}, 7)]
+    for (phi, pts), (tau, n_merged) in zip(_seam_and_tolerance_instances(), expected):
+        space = phi.space
+        dec = orbit_decompose(phi, pts)
+        assert dec.tau == tau and len(harness._orbit_oracle(phi, pts)[2]) == n_merged
+        assert dec.m + 2 * dec.p == n_merged
+        kind = float if isinstance(space, Circle) else np.ndarray
+        assert all(type(z) is kind for z in dec.z_points)
 
 
 def test_criterion_5_abelian_fourier():

@@ -184,6 +184,22 @@ def _exits_2(capsys, argv, message):
     assert message in err
 
 
+@pytest.mark.parametrize(
+    "space",
+    [
+        {"kind": "euclidean", "dim": 2.7},
+        {"kind": "euclidean", "dim": "3"},
+        {"kind": "euclidean", "dim": True},
+        {"kind": "euclidean", "dim": 2, "eq_tol": "1e-3"},
+    ],
+    ids=["dim-2.7", "dim-string", "dim-true", "eq_tol-string"],
+)
+def test_gram_with_a_converted_number_exits_2(tmp_path, capsys, space):
+    kernel = _write(tmp_path, "k.json", {"form": "gaussian", "space": space})
+    points = _write(tmp_path, "p.json", [[0.0, 0.0], [1.0, 0.0]])
+    _exits_2(capsys, ["gram", "--kernel", kernel, "--points", points], "expected a")
+
+
 def test_gram_kernel_without_dim_exits_2(tmp_path, capsys):
     kernel = _write(tmp_path, "k.json", {"form": "gaussian", "space": {"kind": "euclidean"}})
     points = _write(tmp_path, "p.json", [[0.0, 0.0], [1.0, 0.0]])
@@ -245,6 +261,11 @@ def test_verify_negative_seed_exits_2(tmp_path, capsys):
     _exits_2(capsys, ["verify", "negative-controls", "--seed", "-1"], "seed")
     config = _write(tmp_path, "cfg.json", {"seed": -1})
     _exits_2(capsys, ["verify", "negative-controls", "--config", config], "seed")
+
+
+def test_verify_empty_group_exits_2(tmp_path, capsys):
+    config = _write(tmp_path, "cfg.json", {"group": [], "n_points": 1})
+    _exits_2(capsys, ["verify", "abelian-roundtrip", "--config", config], "group")
 
 
 def test_gram_with_non_integral_group_points_exits_2(tmp_path, capsys):

@@ -57,6 +57,17 @@ def test_report_matches_golden(suite):
     assert out == json.dumps(got, indent=2, sort_keys=True)
 
 
+# ``verify orbit-decomposition --format json`` at further seeds, written
+# before the orbit split moved to point stacks and compared byte for byte.
+@pytest.mark.parametrize("seed", [1, 7])
+def test_orbit_report_at_seed_is_byte_identical(seed, capsys):
+    from kernelcex.cli import main
+
+    assert main(["verify", "orbit-decomposition", "--seed", str(seed), "--format", "json"]) == 0
+    want = (GOLDEN_DIR / "seeds" / f"orbit-decomposition-seed{seed}.json").read_text()
+    assert capsys.readouterr().out == want
+
+
 def test_comparison_catches_a_changed_count_and_a_drifted_float():
     want = {"records": [{"evidence": {"definite": 1000, "min_eigenvalue": 0.25}}]}
     assert _mismatches(want, want) == []

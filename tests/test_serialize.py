@@ -60,6 +60,7 @@ MAPS = [
     EuclideanScaling(Euclidean(2), 2.0),
     ComplexSphereRotation(ComplexSphere(2), 0.7),
     GroupTranslation(FiniteAbelian((2, 3)), (1, 2)),
+    EuclideanTranslation(Euclidean(1), (2.5,)),
 ]
 KERNELS = [
     CircleExpCos(Circle()),
@@ -158,7 +159,7 @@ def test_every_map_parameter_is_required(phi):
 def test_offset_is_a_float_on_a_kernel_and_a_tuple_on_a_translation():
     kernel = scalar_kernel_from_json(
         {"form": "offset", "base": {"form": "dot_exp", "space": {"kind": "euclidean", "dim": 1}},
-         "offset": "2"}
+         "offset": 2}
     )
     assert kernel.offset == 2.0 and isinstance(kernel.offset, float)
     phi = map_from_json(
@@ -168,11 +169,58 @@ def test_offset_is_a_float_on_a_kernel_and_a_tuple_on_a_translation():
     assert phi.offset == (2.0,)
 
 
-def test_composed_reads_a_null_or_empty_map_as_none():
+def test_composed_reads_a_null_map_as_none():
     base = {"form": "circle_exp_cos", "space": {"kind": "circle"}}
-    for empty in (None, {}, []):
-        doc = {"form": "composed", "base": base, "left": empty, "right": empty}
-        assert scalar_kernel_from_json(doc) == Composed(CircleExpCos(Circle()), None, None)
+    doc = {"form": "composed", "base": base, "left": None, "right": None}
+    assert scalar_kernel_from_json(doc) == Composed(CircleExpCos(Circle()), None, None)
+
+
+@pytest.mark.parametrize("falsy", [0, False, "", [], {}], ids=["0", "false", "empty-str", "empty-list", "empty-dict"])
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_composed_rejects_a_falsy_map(side, falsy):
+    doc = scalar_kernel_to_json(Composed(CircleExpCos(Circle()), None, None))
+    doc[side] = falsy
+    with pytest.raises(ConfigError):
+        scalar_kernel_from_json(doc)
+
+
+def test_map_without_adjoint_roundtrips():
+    phi = EuclideanTranslation(Euclidean(1), (2.5,))
+    doc = map_to_json(phi)
+    assert doc["adjoint"] is None
+    del doc["adjoint"]
+    assert map_from_json(doc) == phi
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"kind": "euclidean", "dim": 2.7},
+        {"kind": "euclidean", "dim": "3"},
+        {"kind": "euclidean", "dim": True},
+        {"kind": "euclidean", "dim": 2, "eq_tol": "1e-3"},
+        {"kind": "euclidean", "dim": 2, "eq_tol": False},
+        {"kind": "finite_abelian", "orders": [2.5, 3]},
+        {"kind": "finite_abelian", "orders": ["3"]},
+    ],
+    ids=["int-non-integral", "int-string", "int-bool", "float-string", "float-bool",
+         "int-entry-non-integral", "int-entry-string"],
+)
+def test_numeric_fields_reject_strings_bools_and_fractions(doc):
+    with pytest.raises(ConfigError):
+        space_from_json(doc)
+
+
+def test_numeric_fields_accept_ints_and_integral_floats():
+    assert space_from_json({"kind": "euclidean", "dim": 2.0, "eq_tol": 1}) == Euclidean(2, eq_tol=1.0)
+    assert space_from_json({"kind": "finite_abelian", "orders": [3.0, 2]}) == FiniteAbelian((3, 2))
+    phi = map_from_json(
+        {"space": {"kind": "euclidean", "dim": 1}, "action_kind": "euclidean_translation",
+         "parameters": {"offset": 2}}
+    )
+    assert phi.offset == (2.0,)
+    with pytest.raises(ConfigError):
+        map_from_json({**map_to_json(phi), "parameters": {"offset": "2"}})
 
 
 @pytest.mark.parametrize(
