@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import TooLarge, WrongLength, WrongSpaceKind
-from .kernels import GroupFourier, MatrixKernel, ScalarKernel, gram
+from .kernels import GroupFourier, MatrixKernel, ScalarKernel
 from .numcore import PDVerdict, classify
 from .spaces import FiniteAbelian
 
@@ -148,18 +148,12 @@ def synthesize(spectrum: FourierSpectrum) -> np.ndarray:
 
 def spectrum_kernel(spectrum: FourierSpectrum) -> ScalarKernel | MatrixKernel:
     """Evaluable kernel K(x, y) = sum_g a_g xi_g(x) conj(xi_g(y))."""
-    group = spectrum.group
+    group, coeffs = spectrum.group, spectrum.coefficients
     if not spectrum.is_matrix:
-        return GroupFourier(group, tuple(complex(c) for c in spectrum.coefficients))
+        return GroupFourier(group, coeffs)
     ell = spectrum.ell
-    grid = tuple(
-        tuple(
-            GroupFourier(group, tuple(complex(c) for c in spectrum.coefficients[:, i, j]))
-            for j in range(ell)
-        )
-        for i in range(ell)
-    )
-    return MatrixKernel(space=group, ell=ell, entries=grid)
+    entries = tuple(tuple(GroupFourier(group, coeffs[:, i, j]) for j in range(ell)) for i in range(ell))
+    return MatrixKernel(space=group, ell=ell, entries=entries)
 
 
 def strict_criterion(spectrum: FourierSpectrum, strict_tol: float = STRICT_TOL) -> bool:
@@ -173,7 +167,7 @@ def strict_criterion(spectrum: FourierSpectrum, strict_tol: float = STRICT_TOL) 
 
 
 def brute_force_strict(kernel) -> PDVerdict:
-    """Ground-truth strictness oracle: classify the Gram over all of G."""
+    """Ground-truth strictness oracle: classify the Gram over all of G (distinct points)."""
     group = kernel.space
     if not isinstance(group, FiniteAbelian):
         raise WrongSpaceKind("brute_force_strict needs a kernel on a FiniteAbelian space")
@@ -181,4 +175,5 @@ def brute_force_strict(kernel) -> PDVerdict:
     size = group.order * ell
     if size > MAX_BRUTE_SIZE:
         raise TooLarge(f"dense Gram of size {size} exceeds the {MAX_BRUTE_SIZE} cap")
-    return classify(gram(kernel, group.elements()))
+    elements = group.stack(group.elements())
+    return classify(kernel.block(elements, elements))

@@ -152,29 +152,22 @@ class GroupFourier(ScalarKernel):
     coefficients: tuple[complex, ...]
 
     def __post_init__(self):
-        coeffs = tuple(complex(c) for c in np.atleast_1d(np.asarray(self.coefficients)))
-        if len(coeffs) != self.space.order:
-            raise DimensionMismatch(
-                f"need {self.space.order} coefficients, got {len(coeffs)}"
-            )
-        object.__setattr__(self, "coefficients", coeffs)
+        # One conversion of the whole column; the field stays a tuple.
+        coeffs = np.asarray(self.coefficients, dtype=np.complex128)
+        if coeffs.shape != (self.space.order,):
+            raise DimensionMismatch(f"need {self.space.order} coefficients, got shape {coeffs.shape}")
+        object.__setattr__(self, "coefficients", tuple(coeffs.tolist()))
 
     @cached_property
     def _difference_table(self) -> np.ndarray:
         # psi(d) = sum_g c_g xi_g(d), evaluated once per group element.
         from .fourier import character_table
 
-        table = character_table(self.space)
-        return np.asarray(self.coefficients) @ table
+        return np.asarray(self.coefficients) @ character_table(self.space)
 
     def block(self, X, Y) -> np.ndarray:
-        # Lexicographic index of x - y, built one coordinate at a time so
-        # that no (n, m, r) temporary is needed; k(x, y) = psi(x - y).
-        index = np.zeros((len(X), len(Y)), dtype=np.intp)
-        for r, q in enumerate(self.space.orders):
-            index *= q
-            index += (X[:, r, None] - Y[None, :, r]) % q
-        return self._difference_table[index]
+        # k(x, y) = psi(x - y).
+        return self._difference_table[self.space.difference_indices(X, Y)]
 
 
 @dataclass(frozen=True)

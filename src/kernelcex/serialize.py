@@ -191,10 +191,11 @@ def complex_to_json(z: complex) -> list[float]:
 
 @_decoder
 def complex_from_json(v) -> complex:
-    if isinstance(v, (int, float)):
-        return complex(v)
-    re, im = v
-    return complex(re, im)
+    """A bare real number or an [re, im] pair; a bool is not a number here."""
+    if isinstance(v, (list, tuple)):
+        re, im = v
+        return complex(_number(float, re), _number(float, im))
+    return complex(_number(float, v))
 
 
 def matrix_to_json(matrix) -> list:

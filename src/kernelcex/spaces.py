@@ -16,11 +16,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
 
 from .errors import (
+    ConfigError,
     ExhaustedSampling,
     NonFiniteValue,
     SpaceMismatch,
@@ -51,8 +53,14 @@ def _as_array(points, dtype, what: str) -> np.ndarray:
 class Space:
     """Base class; concrete spaces are the dataclasses below."""
 
+    def __post_init__(self):
+        # A NaN, infinite or negative eq_tol makes every ``distance <= eq_tol`` false.
+        if not 0.0 <= self.eq_tol < math.inf:
+            raise ConfigError(f"eq_tol: must be a nonnegative finite number, got {self.eq_tol!r}")
+
     def canonicalize(self, x):
-        raise NotImplementedError
+        """The canonical form of one point: the one-row view of ``stack``."""
+        return self.unstack(self.stack([x]))[0]
 
     def stack(self, points) -> np.ndarray:
         """Canonical forms of the points stacked along axis 0.
@@ -67,7 +75,7 @@ class Space:
         return list(X)
 
     def distance(self, x, y) -> float:
-        raise NotImplementedError
+        return float(self.distances(self.stack([x]), self.stack([y]))[0, 0])
 
     def distances(self, X, Y) -> np.ndarray:
         """Distance matrix between two stacks of canonical points."""
@@ -146,6 +154,7 @@ class Euclidean(Space):
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("Euclidean dimension must be at least 1")
+        super().__post_init__()
 
     def canonicalize(self, x) -> np.ndarray:
         arr = np.asarray(x, dtype=np.float64)
@@ -183,6 +192,7 @@ class ComplexSphere(Space):
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("ComplexSphere dimension must be at least 1")
+        super().__post_init__()
 
     def canonicalize(self, x) -> np.ndarray:
         arr = np.asarray(x, dtype=np.complex128)
@@ -245,35 +255,41 @@ class FiniteAbelian(Space):
     def eq_tol(self) -> float:
         return 0.0
 
-    def canonicalize(self, x) -> tuple[int, ...]:
-        if isinstance(x, (int, np.integer)):
-            x = (int(x),)
-        try:
-            coords = tuple(int(c) for c in x)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise _bad_group_element(x) from exc
-        if len(coords) != len(self.orders):
-            raise SpaceMismatch(f"expected {len(self.orders)} coordinates, got {x!r}")
-        if any(c != v for c, v in zip(coords, x)):
-            raise SpaceMismatch(f"non-integral group coordinate in {x!r}")
-        return tuple(c % q for c, q in zip(coords, self.orders))
-
     def stack(self, points) -> np.ndarray:
-        elements = [self.canonicalize(p) for p in points]
-        return np.array(elements, dtype=np.int64).reshape(len(elements), len(self.orders))
+        """Points of r integral coordinates (bare integers on a rank-1 group) as one
+        (n, r) int64 array mod the orders. The first bad point names the error; a list
+        that does not form one numeric array (ragged, strings) is a ``SpaceMismatch``."""
+        rank = len(self.orders)
+        arr = _as_array(points, None, "group elements")
+        if arr.dtype.kind not in "biuf":
+            raise SpaceMismatch(f"not a list of group elements: {points!r}")
+        if arr.shape[:1] == (0,) or (arr.ndim == 1 and rank == 1 and arr.dtype.kind != "f"):
+            arr = arr.reshape(-1, rank)
+        if arr.ndim != 2:
+            raise SpaceMismatch(f"expected points of {rank} coordinates, got {points!r}")
+        finite = np.isfinite(arr).all(axis=1)
+        bad = ~finite | (arr.shape[1] != rank) | (arr != np.floor(arr)).any(axis=1)
+        if bad.any():
+            first = int(np.argmax(bad))
+            if not finite[first]:
+                raise NonFiniteValue(f"non-finite group coordinate in {arr[first].tolist()}")
+            what = "non-integral group coordinate" if arr.shape[1] == rank else f"not {rank} coordinates"
+            raise SpaceMismatch(f"{what} in {arr[first].tolist()}")
+        if arr.dtype.kind in "uf" and not (np.abs(arr) < 2**63).all():
+            raise SpaceMismatch(f"group coordinate beyond the int64 range in {points!r}")
+        return arr.astype(np.int64) % np.array(self.orders)
 
     def unstack(self, X) -> list[tuple[int, ...]]:
         return [tuple(e) for e in X.tolist()]
 
-    def distance(self, x, y) -> float:
-        return 0.0 if self.canonicalize(x) == self.canonicalize(y) else 1.0
-
     def distances(self, X, Y) -> np.ndarray:
-        # Coordinate by coordinate, so no (n, m, r) temporary is built.
-        differ = np.zeros((len(X), len(Y)), dtype=bool)
-        for r in range(len(self.orders)):
-            differ |= X[:, r, None] != Y[None, :, r]
-        return differ.astype(np.float64)
+        return (X[:, None] != Y[None]).any(axis=2).astype(np.float64)
+
+    def difference_indices(self, X, Y) -> np.ndarray:
+        """Lexicographic index of X[a] - Y[b] for two stacks of elements,
+        read from a cached (|G|, |G|) table of element differences."""
+        strides, table = _differences(self)
+        return table[(X @ strides)[:, None], Y @ strides]
 
     def elements(self) -> list[tuple[int, ...]]:
         return [tuple(e) for e in product(*(range(q) for q in self.orders))]
@@ -289,15 +305,15 @@ class FiniteAbelian(Space):
         return tuple(int(rng.integers(q)) for q in self.orders)
 
 
-def _bad_group_element(x) -> Exception:
-    """The error for a value that ``int`` could not turn into coordinates."""
-    try:
-        non_finite = any(isinstance(c, float) and not math.isfinite(c) for c in x)
-    except TypeError:
-        non_finite = False
-    if non_finite:
-        return NonFiniteValue(f"non-finite group coordinate in {x!r}")
-    return SpaceMismatch(f"not a group element: {x!r}")
+@lru_cache(maxsize=32)
+def _differences(group: FiniteAbelian) -> tuple[np.ndarray, np.ndarray]:
+    """Strides of the lexicographic order and the index table of e_a - e_b."""
+    q = group.orders
+    strides = np.array([math.prod(q[r + 1 :]) for r in range(len(q))], dtype=np.int64)
+    elems = np.array(group.elements(), dtype=np.int64)
+    table = ((elems[:, None] - elems[None]) % np.array(q)) @ strides
+    table.setflags(write=False)
+    return strides, table
 
 
 def _stack_vectors(space, points, dtype) -> np.ndarray:

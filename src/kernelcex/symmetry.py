@@ -42,7 +42,8 @@ class SymmetryMap:
     action_kind = "abstract"
 
     def apply(self, x):
-        raise NotImplementedError
+        """The image of one point: the one-row view of ``apply_many``."""
+        return self.space.unstack(self.apply_many([x]))[0]
 
     def apply_many(self, points) -> np.ndarray:
         """Images of a point list as one stack (see ``Space.stack``); row i
@@ -191,16 +192,11 @@ class GroupTranslation(SymmetryMap):
             raise SpaceMismatch("GroupTranslation acts on a FiniteAbelian space")
         object.__setattr__(self, "element", self.space.canonicalize(self.element))
 
-    def apply(self, x):
-        coords = self.space.canonicalize(x)
-        return tuple((c + g) % q for c, g, q in zip(coords, self.element, self.space.orders))
-
     def apply_many(self, points) -> np.ndarray:
         return (self.space.stack(points) + np.asarray(self.element)) % np.asarray(self.space.orders)
 
     def _inverse(self):
-        inv = tuple((-g) % q for g, q in zip(self.element, self.space.orders))
-        return GroupTranslation(self.space, inv, self.adjoint_kind)
+        return GroupTranslation(self.space, tuple(-g for g in self.element), self.adjoint_kind)
 
 
 @dataclass(frozen=True)

@@ -200,6 +200,28 @@ def test_gram_with_a_converted_number_exits_2(tmp_path, capsys, space):
     _exits_2(capsys, ["gram", "--kernel", kernel, "--points", points], "expected a")
 
 
+@pytest.mark.parametrize("eq_tol", [math.nan, -1.0], ids=["nan", "negative"])
+def test_gram_on_a_space_with_a_bad_eq_tol_exits_2(tmp_path, capsys, eq_tol):
+    space = {"kind": "circle", "eq_tol": eq_tol}
+    kernel = _write(tmp_path, "k.json", {"form": "circle_exp_cos", "space": space})
+    points = _write(tmp_path, "p.json", [0.0, 1.0])
+    _exits_2(capsys, ["gram", "--kernel", kernel, "--points", points], "eq_tol")
+    phi = _write(tmp_path, "m.json", {"space": space, "action_kind": "circle_rotation",
+                                      "parameters": {"angle": 1.0}})
+    _exits_2(capsys, ["orbit", "--map", phi, "--points", points], "eq_tol")
+
+
+def test_gram_with_boolean_coefficients_exits_2(tmp_path, capsys):
+    config = {
+        "form": "group_fourier",
+        "space": {"kind": "finite_abelian", "orders": [2]},
+        "coefficients": [True, [False, True]],
+    }
+    kernel = _write(tmp_path, "k.json", config)
+    points = _write(tmp_path, "p.json", [[0], [1]])
+    _exits_2(capsys, ["gram", "--kernel", kernel, "--points", points], "complex_from_json")
+
+
 def test_gram_kernel_without_dim_exits_2(tmp_path, capsys):
     kernel = _write(tmp_path, "k.json", {"form": "gaussian", "space": {"kind": "euclidean"}})
     points = _write(tmp_path, "p.json", [[0.0, 0.0], [1.0, 0.0]])

@@ -57,15 +57,25 @@ def test_report_matches_golden(suite):
     assert out == json.dumps(got, indent=2, sort_keys=True)
 
 
-# ``verify orbit-decomposition --format json`` at further seeds, written
-# before the orbit split moved to point stacks and compared byte for byte.
-@pytest.mark.parametrize("seed", [1, 7])
-def test_orbit_report_at_seed_is_byte_identical(seed, capsys):
+# ``verify <suite> --seed <seed> --format json`` at further seeds, stored as
+# ``seeds/<suite>-seed<seed>.json`` and compared byte for byte: the orbit
+# reports were written before the orbit split moved to point stacks, the
+# abelian ones before the group path moved to arrays.
+SEED_GOLDENS = sorted(p.stem for p in (GOLDEN_DIR / "seeds").glob("*.json"))
+
+
+def test_seed_goldens_cover_the_orbit_and_abelian_suites():
+    suites = {stem.rsplit("-seed", 1)[0] for stem in SEED_GOLDENS}
+    assert suites == {"orbit-decomposition", "abelian-roundtrip", "abelian-strictness"}
+
+
+@pytest.mark.parametrize("stem", SEED_GOLDENS)
+def test_report_at_seed_is_byte_identical(stem, capsys):
     from kernelcex.cli import main
 
-    assert main(["verify", "orbit-decomposition", "--seed", str(seed), "--format", "json"]) == 0
-    want = (GOLDEN_DIR / "seeds" / f"orbit-decomposition-seed{seed}.json").read_text()
-    assert capsys.readouterr().out == want
+    suite, seed = stem.rsplit("-seed", 1)
+    assert main(["verify", suite, "--seed", seed, "--format", "json"]) == 0
+    assert capsys.readouterr().out == (GOLDEN_DIR / "seeds" / f"{stem}.json").read_text()
 
 
 def test_comparison_catches_a_changed_count_and_a_drifted_float():

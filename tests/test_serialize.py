@@ -211,6 +211,35 @@ def test_numeric_fields_reject_strings_bools_and_fractions(doc):
         space_from_json(doc)
 
 
+@pytest.mark.parametrize("kind", ["circle", "euclidean", "complex_sphere"])
+@pytest.mark.parametrize("eq_tol", [math.nan, -1.0, -1e-12, math.inf])
+def test_space_with_a_nan_negative_or_infinite_eq_tol_is_a_config_error(kind, eq_tol):
+    doc = {"kind": kind, "eq_tol": eq_tol, **({} if kind == "circle" else {"dim": 2})}
+    with pytest.raises(ConfigError, match="eq_tol"):
+        space_from_json(doc)
+    cls = type(space_from_json({**doc, "eq_tol": 0.0}))
+    with pytest.raises(ConfigError, match="eq_tol"):
+        cls(**{k: v for k, v in doc.items() if k != "kind"})
+
+
+@pytest.mark.parametrize("value", [True, False, [False, True], [1.0, True], [True, 0.0], "1"])
+def test_complex_from_json_rejects_booleans_and_strings(value):
+    with pytest.raises(ConfigError, match="complex_from_json"):
+        serialize.complex_from_json(value)
+
+
+def test_group_fourier_with_boolean_coefficients_is_a_config_error():
+    doc = {
+        "form": "group_fourier",
+        "space": {"kind": "finite_abelian", "orders": [2]},
+        "coefficients": [True, [False, True]],
+    }
+    with pytest.raises(ConfigError):
+        scalar_kernel_from_json(doc)
+    doc["coefficients"] = [1, [0, 1]]
+    assert scalar_kernel_from_json(doc).coefficients == (1 + 0j, 1j)
+
+
 def test_numeric_fields_accept_ints_and_integral_floats():
     assert space_from_json({"kind": "euclidean", "dim": 2.0, "eq_tol": 1}) == Euclidean(2, eq_tol=1.0)
     assert space_from_json({"kind": "finite_abelian", "orders": [3.0, 2]}) == FiniteAbelian((3, 2))
