@@ -240,83 +240,8 @@ _CONDITIONING_FLOOR = 1e-8
 # draws over all restarts before it gives up.
 _SLOT_ATTEMPTS = 200
 _MAX_ATTEMPTS = 200_000
-# Candidate draws tested at once with one distance matrix.
-_BATCH = 64
-# Vectorised canonical forms and norms may differ from the scalar path by an
-# ulp, so a batched test only rejects a candidate when it fails by more
-# than this margin; every other candidate gets the exact per-draw test.
-_MARGIN = 1e-12
-
-
-def _exact_test(space: Space, phi, cand, merged: np.ndarray, min_sep: float, min_norm: float):
-    """The per-draw acceptance test of one canonical candidate: returns the
-    candidate and its image (if phi is given) when both keep ``min_sep``
-    from the merged stack and from each other, else None."""
-    if min_norm > 0.0 and float(np.linalg.norm(np.atleast_1d(cand))) <= min_norm:
-        return None
-    cands = [cand] if phi is None else [cand, phi.apply(cand)]
-    new = np.asarray(cands)
-    # One distance matrix tests the candidate and its image against the
-    # merged set, and the image against the candidate; the candidate's
-    # distance to itself is masked.
-    dist = space.distances(new, np.concatenate([merged, new[:1]]))
-    dist[0, -1] = np.inf
-    return cands if dist.min() > min_sep else None
-
-
-def _first_open(space: Space, phi, draws: np.ndarray, merged: np.ndarray, min_sep: float,
-                min_norm: float) -> int | None:
-    """Index of the first raw draw in a batch that the exact test might
-    accept, or None; every draw before it fails the exact test.
-
-    One distance matrix tests every candidate and its image against the
-    merged set. The distance from an image to its own candidate is left to
-    the exact test, which keeps the batch matrix at 2k x m entries.
-    """
-    cands = space.stack(draws)
-    k = len(cands)
-    rows = cands if phi is None else np.concatenate([cands, phi.apply_many(cands)])
-    nearest = np.min(space.distances(rows, merged), axis=1, initial=np.inf)
-    nearest = nearest.reshape(-1, k).min(axis=0)
-    open_ = nearest > min_sep - _MARGIN
-    if min_norm > 0.0:
-        open_ &= np.linalg.norm(cands.reshape(k, -1), axis=1) > min_norm - _MARGIN
-    hits = np.flatnonzero(open_)
-    return int(hits[0]) if len(hits) else None
-
-
-def _place(space: Space, phi, merged: np.ndarray, min_sep: float, min_norm: float,
-           rng: np.random.Generator, radius: float | None, budget: int):
-    """One placement slot of at most ``budget`` draws. Returns the number of
-    draws used and the accepted candidate with its image, or None.
-
-    The first draw, which passes in most slots, takes the exact test alone.
-    After a failure, batches of up to ``_BATCH`` draws skip the draws that
-    fail for certain: the generator is rewound to the batch start, the j
-    skipped draws are consumed in one call, and draw j takes the scalar
-    path, so it has the bits the per-draw loop gives it and the exact test
-    decides.
-    """
-    used = 0
-    while used < budget:
-        if used:
-            k = min(_BATCH, budget - used)
-            state = rng.bit_generator.state
-            draws = _draw_many(space, rng, radius, k)
-            j = _first_open(space, phi, draws, merged, min_sep, min_norm)
-            if j is None:
-                used += k
-                continue
-            rng.bit_generator.state = state
-            if j:
-                _draw_many(space, rng, radius, j)
-            used += j
-        used += 1
-        cand = space.canonicalize(_draw(space, rng, radius))
-        accepted = _exact_test(space, phi, cand, merged, min_sep, min_norm)
-        if accepted is not None:
-            return used, accepted
-    return used, None
+# The largest block of candidates drawn ahead at once.
+_MAX_BLOCK = 256
 
 
 def _sample_merged(
@@ -336,50 +261,99 @@ def _sample_merged(
     Separation plus the optional conditioning floor on ``cond_kernel``'s
     merged-set Gram keep projection Gram matrices away from incidental
     ill-conditioning, so that only the constructed degeneracies can make a
-    verdict non-definite. Each placement slot draws candidates until one
+    verdict non-definite. Each placement slot takes candidates until one
     passes; a slot that fails ``_SLOT_ATTEMPTS`` draws (a draw skipped for
     ``min_norm`` counts) restarts the whole set, and ``_MAX_ATTEMPTS``
     draws in all raise ``ConfigError``.
 
-    Stream contract: candidates are tested in batches (see ``_place``), yet
-    the sampler consumes exactly the draws of a loop that draws and tests
-    one candidate at a time, returns that loop's points bit for bit and
-    leaves the generator in the same final state.
-    """
-    include = [space.canonicalize(p) for p in include]
-    include_images = [] if phi is None else [phi.apply(p) for p in include]
-    include_images = [
-        img for img, p in zip(include_images, include) if space.distance(img, p) > min_sep
-    ]
+    One pass decides every draw once, on stacked values. Candidates are
+    drawn ahead in blocks (the first holds 2n draws, each later one as
+    many as were drawn before it, up to ``_MAX_BLOCK``), stacked, mapped and
+    screened against the merged set once; after each acceptance only the
+    rest of the block is screened against the new point and its image, and
+    a restart screens it against the included points again, so a dead end
+    or a restart costs no numpy call per draw.
 
-    total_attempts = 0
-    while True:
-        # The merged set (placed points and their images) is kept as one
-        # stack that grows by each accepted candidate and its image.
-        pts: list = []
-        images = list(include_images)
-        merged = space.stack(include + images)
-        while len(pts) < n:
-            budget = min(_SLOT_ATTEMPTS, _MAX_ATTEMPTS - total_attempts)
-            used, accepted = _place(space, phi, merged, min_sep, min_norm, rng, radius, budget)
-            total_attempts += used
-            if accepted is not None:
-                pts.append(accepted[0])
-                images += accepted[1:]
-                merged = np.concatenate([merged, np.asarray(accepted)])
-            elif budget < _SLOT_ATTEMPTS:
-                raise ConfigError(
-                    "min_sep: sampling could not place separated points; lower min_sep or n_points"
-                )
-            else:
-                break
-        if len(pts) < n:
-            continue
-        if cond_kernel is not None:
-            eigvals = np.linalg.eigvalsh(gram(cond_kernel, include + pts + images).symmetrized())
-            if eigvals[0] < _CONDITIONING_FLOOR * eigvals[-1]:
+    Stream contract: the sampler returns, bit for bit, the points of a loop
+    that draws and tests one candidate at a time. At return, and on
+    ``ConfigError``, it rewinds the generator to the start of the block and
+    redraws the draws it consumed there, so it consumes exactly that loop's
+    draws and leaves the generator in the same final state.
+    """
+    include = space.stack(include)
+    include_images = include[:0]
+    if phi is not None and len(include):
+        include_images = phi.apply_many(include)
+        include_images = include_images[space.paired_distances(include_images, include) > min_sep]
+    base = np.concatenate([include, include_images])
+
+    # cands[0] holds the block of candidates drawn ahead (canonical) and
+    # cands[1] their images, if any; rows is cands as one stack. pos counts
+    # the candidates of the block consumed, drawn the draws made in all.
+    cands, rows, pos, drawn, start = include[None, :0], include[:0], 0, 0, None
+
+    def clear(dist) -> np.ndarray:
+        """Which candidates keep more than ``min_sep``, together with their
+        images, from every point of a stack, given its distances to rows."""
+        return dist.reshape(-1, cands.shape[1]).min(axis=0) > min_sep
+
+    def screen(merged) -> np.ndarray:
+        """The candidates that pass ``min_norm`` and are clear of merged."""
+        return norm_ok & clear(space.distances(merged, rows)) if len(merged) else norm_ok.copy()
+
+    try:
+        while True:
+            pts, used = [], 0
+            if pos < cands.shape[1]:
+                open_ = screen(base)
+            while len(pts) < n:
+                if pos == cands.shape[1]:
+                    k = min(_MAX_BLOCK, max(2 * n, drawn), _MAX_ATTEMPTS - drawn)
+                    if k == 0:
+                        raise ConfigError(
+                            "min_sep: sampling could not place separated points; lower min_sep or n_points"
+                        )
+                    start = rng.bit_generator.state
+                    block = space.stack(_draw_many(space, rng, radius, k))
+                    cands = block[None] if phi is None else np.stack([block, phi.apply_many(block)])
+                    rows = cands.reshape(-1, *cands.shape[2:])
+                    pos, drawn = 0, drawn + k
+                    norm_ok = np.full(k, True)
+                    if min_norm > 0.0:
+                        norm_ok = np.linalg.norm(block.reshape(k, -1), axis=1) > min_norm
+                    open_ = screen(np.concatenate([base, *pts]))
+                # The slot takes the first open candidate whose image keeps
+                # min_sep from the candidate itself; the distances that test
+                # this also screen the rest of the block against both.
+                stop = min(cands.shape[1], pos + _SLOT_ATTEMPTS - used)
+                for j in open_[pos:stop].nonzero()[0].tolist():
+                    j += pos
+                    dist = space.distances(cands[:, j], rows)
+                    if phi is None or dist[1, j] > min_sep:
+                        break
+                else:
+                    # None taken: the slot goes on in a new block, or it has
+                    # used its draws and the dead end restarts the set.
+                    used, pos = used + stop - pos, stop
+                    if used == _SLOT_ATTEMPTS:
+                        break
+                    continue
+                pts.append(cands[:, j])
+                open_ &= clear(dist)
+                pos, used = j + 1, 0
+            if len(pts) < n:
                 continue
-        return include + pts
+            placed = [p[:1] for p in pts]
+            if cond_kernel is not None:
+                merged = np.concatenate([include, *placed, include_images, *(p[1:] for p in pts)])
+                eigvals = np.linalg.eigvalsh(gram(cond_kernel, merged).symmetrized())
+                if eigvals[0] < _CONDITIONING_FLOOR * eigvals[-1]:
+                    continue
+            return space.unstack(np.concatenate([include, *placed]))
+    finally:
+        if pos < cands.shape[1]:
+            rng.bit_generator.state = start
+            _draw_many(space, rng, radius, pos)
 
 
 # Projection vectors shorter than this are redrawn.
@@ -409,10 +383,8 @@ def _projection_vectors(rng: np.random.Generator, ell: int, count: int) -> np.nd
 
 
 def _probe_pairs(space: Space, rng: np.random.Generator, count: int, radius: float | None = None):
-    return [
-        (space.canonicalize(_draw(space, rng, radius)), space.canonicalize(_draw(space, rng, radius)))
-        for _ in range(count)
-    ]
+    points = space.unstack(space.stack(_draw_many(space, rng, radius, 2 * count)))
+    return list(zip(points[::2], points[1::2]))
 
 
 def _null_alignment_angle(verdict, direction: np.ndarray) -> float:
@@ -554,7 +526,7 @@ def _proof_structure_record(cfg: SuiteConfig, cex, pts) -> CheckRecord:
         "kernel over the images-then-points list"
     )
     blocked = gram(cex.as_matrix, pts).entries
-    merged = [cex.map.apply(p) for p in pts] + [cex.as_matrix.space.canonicalize(p) for p in pts]
+    merged = np.concatenate([cex.map.apply_many(pts), cex.as_matrix.space.stack(pts)])
     direct = gram(cex.base, merged).entries
     scale = float(np.max(np.abs(direct)))
     diff = float(np.max(np.abs(blocked - direct)))
@@ -566,7 +538,7 @@ def _unitary_example_records(
 ) -> list[CheckRecord]:
     space = cex.as_matrix.space
     rng = _rng(cfg, 1)
-    probes = [space.canonicalize(_draw(space, rng, cfg.radius)) for _ in range(8)]
+    probes = space.unstack(space.stack(_draw_many(space, rng, cfg.radius, 8)))
     records = _hypothesis_records(cfg, cex.map, generators, probes)
     pairs = _probe_pairs(space, _rng(cfg, 2), cfg.probes, cfg.radius)
     inv = check_unitary_invariance(cex.as_matrix, generators, pairs, tol=cfg.resid_tol)
@@ -644,7 +616,7 @@ def _suite_dotproduct(cfg: SuiteConfig) -> list[CheckRecord]:
     min_sep = cfg.min_sep if cfg.min_sep is not None else 0.15
 
     rng = _rng(cfg, 0)
-    probes = [space.canonicalize(_draw(space, rng, cfg.radius)) for _ in range(8)]
+    probes = space.unstack(space.stack(_draw_many(space, rng, cfg.radius, 8)))
     probes = [p for p in probes if np.linalg.norm(p) > 0.05] or [np.array([1.0, 0.0])]
     generators = [EuclideanScaling(space, float(r)) for r in rng.uniform(0.5, 2.0, 4)]
     records = _hypothesis_records(cfg, phi, generators, probes)

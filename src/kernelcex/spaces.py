@@ -81,6 +81,12 @@ class Space:
         """Distance matrix between two stacks of canonical points."""
         raise NotImplementedError
 
+    def paired_distances(self, X, Y) -> np.ndarray:
+        """Distance from X[i] to Y[i] for each row: the diagonal of
+        ``distances``, taken in square chunks so memory stays linear."""
+        chunks = [np.diagonal(self.distances(X[i : i + 64], Y[i : i + 64])) for i in range(0, len(X), 64)]
+        return np.concatenate([np.zeros(0), *chunks])
+
     def all_distinct(self, X) -> bool:
         """True iff no two points of a stack coincide within ``eq_tol``."""
         close = self.distances(X, X) <= self.eq_tol
@@ -90,7 +96,8 @@ class Space:
         return self.distance(x, y) <= self.eq_tol
 
     def random_point(self, rng: np.random.Generator):
-        raise NotImplementedError
+        """One random point: the one-row view of ``random_points``."""
+        return self.random_points(rng, 1)[0]
 
     def random_points(self, rng: np.random.Generator, k: int) -> np.ndarray:
         """k random points stacked along axis 0, drawn in one call where the
@@ -98,10 +105,9 @@ class Space:
 
         Stream contract: the generator consumes exactly the draws of k
         ``random_point`` calls and ends in the same state, and row i equals
-        the i-th of those calls (up to one rounding where a space
-        normalises its points). Rows are raw draws, not canonical forms.
+        the i-th of those calls. Rows are raw draws, not canonical forms.
         """
-        return np.array([self.random_point(rng) for _ in range(k)])
+        raise NotImplementedError
 
 
 @dataclass(frozen=True)
@@ -175,9 +181,6 @@ class Euclidean(Space):
         d = X[:, None, :] - Y[None, :, :]
         return np.sqrt(np.einsum("abk,abk->ab", d, d))
 
-    def random_point(self, rng: np.random.Generator) -> np.ndarray:
-        return rng.standard_normal(self.dim)
-
     def random_points(self, rng: np.random.Generator, k: int) -> np.ndarray:
         return rng.standard_normal((k, self.dim))
 
@@ -194,18 +197,6 @@ class ComplexSphere(Space):
             raise ValueError("ComplexSphere dimension must be at least 1")
         super().__post_init__()
 
-    def canonicalize(self, x) -> np.ndarray:
-        arr = np.asarray(x, dtype=np.complex128)
-        if arr.shape != (self.dim,):
-            raise SpaceMismatch(f"expected a complex vector of length {self.dim}, got {x!r}")
-        norm_sq = float(np.vdot(arr, arr).real)
-        if not math.isfinite(norm_sq) and not np.isfinite(arr).all():
-            raise NonFiniteValue(f"non-finite coordinates in {x!r}")
-        norm = math.sqrt(norm_sq)
-        if abs(norm - 1.0) > UNIT_NORM_TOL:
-            raise SpaceMismatch(f"point norm {norm} is not 1 within {UNIT_NORM_TOL}")
-        return arr
-
     def stack(self, points) -> np.ndarray:
         arr = _stack_vectors(self, points, np.complex128)
         norms = np.sqrt(np.einsum("ak,ak->a", arr.conj(), arr).real)
@@ -213,17 +204,9 @@ class ComplexSphere(Space):
             raise SpaceMismatch(f"a point norm is not 1 within {UNIT_NORM_TOL}")
         return arr
 
-    def distance(self, x, y) -> float:
-        d = self.canonicalize(x) - self.canonicalize(y)
-        return math.sqrt(float(np.vdot(d, d).real))
-
     def distances(self, X, Y) -> np.ndarray:
         d = X[:, None, :] - Y[None, :, :]
         return np.sqrt(np.einsum("abk,abk->ab", d.conj(), d).real)
-
-    def random_point(self, rng: np.random.Generator) -> np.ndarray:
-        v = rng.standard_normal(self.dim) + 1j * rng.standard_normal(self.dim)
-        return v / np.linalg.norm(v)
 
     def random_points(self, rng: np.random.Generator, k: int) -> np.ndarray:
         # Each point draws its real parts, then its imaginary parts.
@@ -304,6 +287,9 @@ class FiniteAbelian(Space):
     def random_point(self, rng: np.random.Generator) -> tuple[int, ...]:
         return tuple(int(rng.integers(q)) for q in self.orders)
 
+    def random_points(self, rng: np.random.Generator, k: int) -> np.ndarray:
+        return np.array([self.random_point(rng) for _ in range(k)])
+
 
 @lru_cache(maxsize=32)
 def _differences(group: FiniteAbelian) -> tuple[np.ndarray, np.ndarray]:
@@ -318,7 +304,7 @@ def _differences(group: FiniteAbelian) -> tuple[np.ndarray, np.ndarray]:
 
 def _stack_vectors(space, points, dtype) -> np.ndarray:
     arr = _as_array(points, dtype, f"vectors of length {space.dim}")
-    if arr.size == 0:
+    if arr.shape == (0,):
         arr = arr.reshape(0, space.dim)
     if arr.ndim != 2 or arr.shape[1] != space.dim:
         raise SpaceMismatch(f"expected a list of vectors of length {space.dim}, got shape {arr.shape}")

@@ -8,7 +8,6 @@ Map parameters are plain floats and tuples, so maps compare by value.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -166,10 +165,6 @@ class ComplexSphereRotation(SymmetryMap):
             raise SpaceMismatch("ComplexSphereRotation acts on a ComplexSphere space")
         object.__setattr__(self, "angle", float(self.angle))
 
-    def apply(self, x):
-        moved = np.exp(1j * self.angle) * self.space.canonicalize(x)
-        return moved / math.sqrt(float(np.vdot(moved, moved).real))
-
     def apply_many(self, points) -> np.ndarray:
         moved = np.exp(1j * self.angle) * self.space.stack(points)
         norms = np.sqrt(np.einsum("ak,ak->a", moved.conj(), moved).real)
@@ -234,17 +229,21 @@ def check_aperiodic(phi: SymmetryMap, probes, m_max: int) -> AperiodicityEvidenc
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
     space = phi.space
-    violations = []
-    probes = list(probes)
-    for x in probes:
-        x = space.canonicalize(x)
-        y = x
-        for m in range(1, m_max + 1):
-            y = phi.apply(y)
-            if space.points_equal(x, y):
-                violations.append((x, m))
-                break
-    return AperiodicityEvidence(m_max=m_max, n_probes=len(probes), violations=tuple(violations))
+    X = space.stack(list(probes))
+    # returned[i]: the first m with phi^m(x_i) == x_i, or 0 while there is none.
+    returned = np.zeros(len(X), dtype=np.int64)
+    live = np.arange(len(X))
+    Y = X
+    for m in range(1, m_max + 1):
+        if not len(live):
+            break
+        Y = phi.apply_many(Y)
+        back = space.paired_distances(X[live], Y) <= space.eq_tol
+        returned[live[back]] = m
+        live, Y = live[~back], Y[~back]
+    points = space.unstack(X)
+    violations = tuple((points[i], int(returned[i])) for i in np.flatnonzero(returned))
+    return AperiodicityEvidence(m_max=m_max, n_probes=len(X), violations=violations)
 
 
 def check_injective_on(phi: SymmetryMap, points) -> bool:
@@ -258,14 +257,13 @@ def check_center(phi: SymmetryMap, generators, probes) -> CenterEvidence:
     violations = []
     generators = list(generators)
     probes = list(probes)
+    if any(psi.space != space for psi in generators):
+        raise SpaceMismatch("generators must act on the same space as phi")
+    X = space.stack(probes)
+    moved = phi.apply_many(X)
     for psi in generators:
-        if psi.space != space:
-            raise SpaceMismatch("generators must act on the same space as phi")
-        for x in probes:
-            left = phi.apply(psi.apply(x))
-            right = psi.apply(phi.apply(x))
-            if not space.points_equal(left, right):
-                violations.append((psi, x, space.distance(left, right)))
+        gap = space.paired_distances(phi.apply_many(psi.apply_many(X)), psi.apply_many(moved))
+        violations += [(psi, probes[i], float(gap[i])) for i in np.flatnonzero(gap > space.eq_tol)]
     return CenterEvidence(
         n_generators=len(generators), n_probes=len(probes), violations=tuple(violations)
     )

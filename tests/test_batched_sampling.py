@@ -1,12 +1,13 @@
-"""The batched sampler and projection vectors against the per-draw loops
-they replaced.
+"""The one-pass sampler and the batched projection vectors against the
+per-draw loops they replaced.
 
 ``_sample_merged_per_draw`` and ``_projection_vectors_per_draw`` are the
 per-draw implementations, kept here as references: one draw and one
 distance test per attempt, one vector per pair of ``standard_normal`` calls.
-The batched code must return the same points and vectors bit for bit and
-leave the generator in the same state, and with the references patched into
-``harness`` every continuous suite's JSON report must be byte-identical.
+The sampler, which draws candidates ahead in blocks and decides each draw
+once on stacked values, must return the same points and vectors bit for bit
+and leave the generator in the same state, and with the references patched
+into ``harness`` every continuous suite's JSON report must be byte-identical.
 """
 
 import math
@@ -26,16 +27,18 @@ from kernelcex.harness import (
     emit_report,
     run_suite,
 )
-from kernelcex.kernels import gram
+from kernelcex.kernels import CircleExpCos, gram
 from kernelcex.spaces import Circle, ComplexSphere, Euclidean, FiniteAbelian
-from kernelcex.symmetry import CircleRotation
+from kernelcex.symmetry import CircleRotation, EuclideanScaling
 
 CIRCLE = Circle()
 ROTATION = CircleRotation(CIRCLE, 1.0)
 
 
 def _sample_merged_per_draw(space, phi, n, min_sep, rng, radius=None, include=(), min_norm=0.0,
-                            cond_kernel=None):
+                            cond_kernel=None, dead_ends=None):
+    """The per-draw sampler; ``dead_ends``, if given, collects the number of
+    draws consumed at each slot that ran out of draws."""
     include = [space.canonicalize(p) for p in include]
     include_images = [] if phi is None else [phi.apply(p) for p in include]
     include_images = [
@@ -70,6 +73,8 @@ def _sample_merged_per_draw(space, phi, n, min_sep, rng, radius=None, include=()
                     placed = True
                     break
             if not placed:
+                if dead_ends is not None:
+                    dead_ends.append(total_attempts)
                 stuck = True
                 break
         if stuck:
@@ -138,9 +143,7 @@ def test_random_points_follow_the_stream_of_random_point(space):
         rows = space.random_points(rng, 40)
         want = np.array([space.random_point(ref_rng) for _ in range(40)])
         assert rows.shape == want.shape
-        # The complex sphere normalises its rows in one vectorised step,
-        # which may round differently from the per-point norm.
-        assert np.max(np.abs(rows - want)) <= 4e-16
+        np.testing.assert_array_equal(rows, want)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
@@ -153,27 +156,18 @@ def test_draw_many_follows_the_stream_of_draw_in_a_ball():
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
-def test_restart_heavy_circle_matches_per_draw(monkeypatch):
+def test_restart_heavy_circle_matches_per_draw():
     # Nine points and their images at separation 0.3 fill 5.4 of the
     # circle's 2 pi, so many placement slots hit the 200-draw dead end and
-    # restart the whole set.
-    dead_ends = []
-    place = harness._place
-
-    def counting_place(*args):
-        used, accepted = place(*args)
-        dead_ends.append(accepted is None)
-        return used, accepted
-
-    monkeypatch.setattr(harness, "_place", counting_place)
+    # restart the whole set, most of them in the middle of a block.
     for seed in range(3):
-        dead_ends.clear()
+        dead_ends = []
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         got = _sample_merged(CIRCLE, ROTATION, 9, 0.3, rng)
-        want = _sample_merged_per_draw(CIRCLE, ROTATION, 9, 0.3, ref_rng)
+        want = _sample_merged_per_draw(CIRCLE, ROTATION, 9, 0.3, ref_rng, dead_ends=dead_ends)
         _assert_same_points(got, want)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
-        assert sum(dead_ends) >= 10
+        assert len(dead_ends) >= 10
 
 
 def test_sampler_raises_at_the_attempt_cap_after_exactly_the_capped_draws():
@@ -190,9 +184,9 @@ def test_sampler_raises_at_the_attempt_cap_after_exactly_the_capped_draws():
 @pytest.mark.parametrize("phi", [None, ROTATION])
 def test_candidates_at_the_separation_margin_take_the_exact_test(phi):
     # Draws within 1e-12 of distance 0.3 from the included point 0 (their
-    # images lie as close to 0.3 from the image 1.0) pass or fail by less
-    # than the batch margin, some only by rounding; the batch leaves them to
-    # the exact test, which must decide as the per-draw loop does.
+    # images lie as close to 0.3 from the image 1.0) pass or fail by a few
+    # ulps, some only by rounding; the sampler's single decision on stacked
+    # values must take them as the per-draw loop does.
     at, beyond = 0.3, math.nextafter(0.3, 1.0)
     near = [0.1, 0.2, at, -at, 0.25, beyond, -beyond, math.nextafter(0.3, 0.0),
             0.3 - 1e-13, 0.3 + 1e-13, -0.3 - 1e-13]
@@ -216,6 +210,82 @@ def test_min_norm_at_the_margin_takes_the_exact_test():
     want = _sample_merged_per_draw(space, None, 1, 0.1, ref_rng, radius=1.0, min_norm=0.15)
     _assert_same_points(got, want)
     assert rng.position == ref_rng.position == 6
+
+
+def _assert_scripted_run_matches_per_draw(script, space, phi, n, min_sep, **kwargs):
+    """Run the sampler and the per-draw loop on the same script; return the
+    sampler's points and the number of values it read."""
+    rng, ref_rng = _ScriptedRng(script), _ScriptedRng(script)
+    got = _sample_merged(space, phi, n, min_sep, rng, **kwargs)
+    want = _sample_merged_per_draw(space, phi, n, min_sep, ref_rng, **kwargs)
+    _assert_same_points(got, want)
+    assert rng.position == ref_rng.position
+    return got, rng.position
+
+
+def test_restart_in_the_middle_of_a_block_screens_the_rest_again():
+    # n = 2 around the included point 0. Draw 1 (1.0) takes the first slot;
+    # draws 2-201 lie within 0.3 of 0, so the second slot ends in a dead end
+    # at draw 201, inside the block of draws 129-256. Draw 202 (1.1) was
+    # closed by 1.0, which the restart drops, so it must be taken now.
+    script = [1.0] + [0.05] * 200 + [1.1, -2.0] + [0.05] * 100
+    got, read = _assert_scripted_run_matches_per_draw(script, CIRCLE, None, 2, 0.3, include=(0.0,))
+    assert got == [CIRCLE.canonicalize(a) for a in (0.0, 1.1, -2.0)]
+    assert read == 203
+
+
+def test_restart_for_the_conditioning_floor_screens_the_rest_again():
+    # Three draws 1.5e-3 apart keep min_sep = 1e-3, but their Gram's
+    # relative minimum eigenvalue (about 8e-13) fails the conditioning
+    # floor, so the set restarts halfway through the first block of 2n = 6
+    # draws. Draw 4 (1.6e-3) was closed by draw 2 and must be taken now.
+    script = [0.0, 1.5e-3, 3e-3, 1.6e-3, 2.0, -2.0] + [0.5] * 30
+    got, read = _assert_scripted_run_matches_per_draw(
+        script, CIRCLE, None, 3, 1e-3, cond_kernel=CircleExpCos(CIRCLE)
+    )
+    assert got == [CIRCLE.canonicalize(a) for a in (1.6e-3, 2.0, -2.0)]
+    assert read == 6
+
+
+def test_an_included_image_inside_min_sep_is_left_out_of_the_merged_set():
+    space = Euclidean(2)
+    doubling = EuclideanScaling(space, 2.0)
+    # The image (0.2, 0) of the included point (0.1, 0) lies 0.1 from it, so
+    # it is dropped: the draw (0.45, 0), 0.25 from that image, is taken.
+    got, read = _assert_scripted_run_matches_per_draw(
+        [0.45, 0.0] + [0.9, 0.9] * 20, space, doubling, 1, 0.3, radius=1.0, include=((0.1, 0.0),)
+    )
+    np.testing.assert_array_equal(got, [[0.1, 0.0], [0.45, 0.0]])
+    assert read == 2
+    # The image (2, 0) of (1, 0) is kept, so (1.75, 0), 0.25 from it, is not.
+    got, read = _assert_scripted_run_matches_per_draw(
+        [0.875, 0.0, -0.5, 0.0] + [0.9, 0.9] * 20, space, doubling, 1, 0.3, radius=2.0,
+        include=((1.0, 0.0),),
+    )
+    np.testing.assert_array_equal(got, [[1.0, 0.0], [-0.5, 0.0]])
+    assert read == 4
+
+
+def test_a_candidate_whose_image_lies_within_min_sep_of_it_is_skipped():
+    # Doubling moves (0.1, 0) by only 0.1, so that draw is skipped even
+    # though it and its image are clear of everything else.
+    got, read = _assert_scripted_run_matches_per_draw(
+        [0.1, 0.0, 1.0, 0.0] + [0.9, 0.9] * 20, Euclidean(2), EuclideanScaling(Euclidean(2), 2.0),
+        1, 0.3, radius=1.0,
+    )
+    np.testing.assert_array_equal(got, [[1.0, 0.0]])
+    assert read == 4
+
+
+@pytest.mark.parametrize("head", [[], [1.0]])
+def test_config_error_path_reads_exactly_the_capped_draws(head):
+    # Every draw after the head lies within 0.3 of the included point 0, so
+    # the set is never complete; the sampler must raise after exactly
+    # 200 000 draws and read none of the values beyond them.
+    rng = _ScriptedRng(head + [0.05] * (200_000 + 500))
+    with pytest.raises(ConfigError, match="min_sep"):
+        _sample_merged(CIRCLE, None, 1 + len(head), 0.3, rng, include=(0.0,))
+    assert rng.position == 200_000
 
 
 @pytest.mark.parametrize("ell", [2, 3])
