@@ -37,7 +37,7 @@ from .errors import (
     ZeroVector,
 )
 from .numcore import RESID_TOL, HermitianMatrix
-from .spaces import Circle, ComplexSphere, Euclidean, FiniteAbelian, Space
+from .spaces import Circle, ComplexSphere, Euclidean, FiniteAbelian, Space, paired_diagonal
 from .symmetry import SymmetryMap
 
 
@@ -330,7 +330,7 @@ def pair_values(kernel, X, Y) -> np.ndarray:
     """K(X[p], Y[p]) for every row p of two equally long point stacks, as a
     (P, ell, ell) array (ell = 1 for a scalar kernel)."""
     grid = kernel.entries if isinstance(kernel, MatrixKernel) else ((kernel,),)
-    values = np.array([[np.diagonal(entry.block(X, Y)) for entry in row] for row in grid])
+    values = np.array([[paired_diagonal(entry.block, X, Y) for entry in row] for row in grid])
     return _finite(np.moveaxis(values, -1, 0))
 
 

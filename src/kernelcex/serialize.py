@@ -178,7 +178,7 @@ def _decoder(fn):
     def decode(*args):
         try:
             return fn(*args)
-        except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
+        except (KeyError, IndexError, TypeError, ValueError, AttributeError, OverflowError) as exc:
             raise ConfigError(f"{fn.__name__}: malformed input ({type(exc).__name__}: {exc})") from exc
 
     return decode

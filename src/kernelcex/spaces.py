@@ -10,6 +10,12 @@ array of canonical points (``(n,)`` angles, ``(n, d)`` coordinates or
 point list, and ``Space.distances`` measures every pair of two such stacks
 at once; the vectorised kernels, the sampler and the orbit split work on
 stacks.
+
+Each scalar operation is the one-row view of its stacked form, except the
+``Circle`` and ``Euclidean`` ``canonicalize`` and ``distance``: callers that
+compare one pair at a time (``points_equal`` in orbit oracles) would pay
+several times as much for one-row stacks. Those round exactly as ``stack``
+and ``distances`` do, so scalar and stacked results agree bit for bit.
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ def _wrap_angle(a):
 def _as_array(points, dtype, what: str) -> np.ndarray:
     try:
         return np.asarray(points, dtype=dtype)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SpaceMismatch(f"not a list of {what}") from exc
 
 
@@ -82,10 +88,8 @@ class Space:
         raise NotImplementedError
 
     def paired_distances(self, X, Y) -> np.ndarray:
-        """Distance from X[i] to Y[i] for each row: the diagonal of
-        ``distances``, taken in square chunks so memory stays linear."""
-        chunks = [np.diagonal(self.distances(X[i : i + 64], Y[i : i + 64])) for i in range(0, len(X), 64)]
-        return np.concatenate([np.zeros(0), *chunks])
+        """Distance from X[i] to Y[i] for each row."""
+        return paired_diagonal(self.distances, X, Y)
 
     def all_distinct(self, X) -> bool:
         """True iff no two points of a stack coincide within ``eq_tol``."""
@@ -97,15 +101,15 @@ class Space:
 
     def random_point(self, rng: np.random.Generator):
         """One random point: the one-row view of ``random_points``."""
-        return self.random_points(rng, 1)[0]
+        return self.unstack(self.random_points(rng, 1))[0]
 
     def random_points(self, rng: np.random.Generator, k: int) -> np.ndarray:
         """k random points stacked along axis 0, drawn in one call where the
         space allows it.
 
         Stream contract: the generator consumes exactly the draws of k
-        ``random_point`` calls and ends in the same state, and row i equals
-        the i-th of those calls. Rows are raw draws, not canonical forms.
+        one-point calls and ends in the same state, and row i equals the
+        i-th of those points. Rows are raw draws, not canonical forms.
         """
         raise NotImplementedError
 
@@ -117,7 +121,7 @@ class Circle(Space):
     def canonicalize(self, x) -> float:
         try:
             angle = float(x)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise SpaceMismatch(f"not a circle angle: {x!r}") from exc
         if not math.isfinite(angle):
             raise NonFiniteValue(f"non-finite circle angle {x!r}")
@@ -134,9 +138,8 @@ class Circle(Space):
     def unstack(self, X) -> list[float]:
         return X.tolist()
 
-    # Two canonical angles differ by less than 2 pi, so their distance is
-    # min(|d|, 2 pi - |d|); the scalar and the stacked form share it so that
-    # ``points_equal`` and ``all_distinct`` agree.
+    # A scalar fast path (see the module docstring). Two canonical angles
+    # differ by less than 2 pi, so their distance is min(|d|, 2 pi - |d|).
     def distance(self, x, y) -> float:
         d = abs(self.canonicalize(x) - self.canonicalize(y))
         return min(d, _TWO_PI - d)
@@ -144,9 +147,6 @@ class Circle(Space):
     def distances(self, X, Y) -> np.ndarray:
         d = np.abs(X[:, None] - Y[None, :])
         return np.minimum(d, _TWO_PI - d)
-
-    def random_point(self, rng: np.random.Generator) -> float:
-        return float(rng.uniform(-math.pi, math.pi))
 
     def random_points(self, rng: np.random.Generator, k: int) -> np.ndarray:
         return rng.uniform(-math.pi, math.pi, k)
@@ -162,8 +162,9 @@ class Euclidean(Space):
             raise ValueError("Euclidean dimension must be at least 1")
         super().__post_init__()
 
+    # A scalar fast path: the conversion of ``stack``, the contraction of ``distances``.
     def canonicalize(self, x) -> np.ndarray:
-        arr = np.asarray(x, dtype=np.float64)
+        arr = _as_array(x, np.float64, "coordinates")
         if arr.shape != (self.dim,):
             raise SpaceMismatch(f"expected a vector of length {self.dim}, got {x!r}")
         if not all(map(math.isfinite, arr.tolist())):
@@ -175,7 +176,7 @@ class Euclidean(Space):
 
     def distance(self, x, y) -> float:
         d = self.canonicalize(x) - self.canonicalize(y)
-        return math.sqrt(float(d @ d))
+        return math.sqrt(float(np.einsum("k,k->", d, d)))
 
     def distances(self, X, Y) -> np.ndarray:
         d = X[:, None, :] - Y[None, :, :]
@@ -284,11 +285,10 @@ class FiniteAbelian(Space):
             idx = idx * q + c
         return idx
 
-    def random_point(self, rng: np.random.Generator) -> tuple[int, ...]:
-        return tuple(int(rng.integers(q)) for q in self.orders)
-
     def random_points(self, rng: np.random.Generator, k: int) -> np.ndarray:
-        return np.array([self.random_point(rng) for _ in range(k)])
+        # One integer per order, point after point.
+        draws = [int(rng.integers(q)) for _ in range(k) for q in self.orders]
+        return np.array(draws, dtype=np.int64).reshape(k, len(self.orders))
 
 
 @lru_cache(maxsize=32)
@@ -300,6 +300,13 @@ def _differences(group: FiniteAbelian) -> tuple[np.ndarray, np.ndarray]:
     table = ((elems[:, None] - elems[None]) % np.array(q)) @ strides
     table.setflags(write=False)
     return strides, table
+
+
+def paired_diagonal(pairwise, X, Y) -> np.ndarray:
+    """The diagonal of the matrix ``pairwise(X, Y)`` of two equally long stacks,
+    taken in 64-row square chunks so that work and memory stay linear."""
+    chunks = [np.diagonal(pairwise(X[i : i + 64], Y[i : i + 64])) for i in range(0, len(X), 64)]
+    return np.concatenate([np.zeros(0), *chunks])
 
 
 def _stack_vectors(space, points, dtype) -> np.ndarray:

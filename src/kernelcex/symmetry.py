@@ -9,7 +9,6 @@ Map parameters are plain floats and tuples, so maps compare by value.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -83,9 +82,6 @@ class CircleRotation(SymmetryMap):
             raise SpaceMismatch("CircleRotation acts on a Circle space")
         object.__setattr__(self, "angle", float(self.angle))
 
-    def apply(self, x):
-        return self.space.canonicalize(self.space.canonicalize(x) + self.angle)
-
     def apply_many(self, points) -> np.ndarray:
         return self.space.stack(self.space.stack(points) + self.angle)
 
@@ -109,17 +105,8 @@ class EuclideanTranslation(SymmetryMap):
             raise SpaceMismatch("offset length must match the space dimension")
         object.__setattr__(self, "offset", offset)
 
-    @cached_property
-    def _offset_arr(self) -> np.ndarray:
-        arr = np.asarray(self.offset, dtype=np.float64)
-        arr.setflags(write=False)
-        return arr
-
-    def apply(self, x):
-        return self.space.canonicalize(x) + self._offset_arr
-
     def apply_many(self, points) -> np.ndarray:
-        return self.space.stack(points) + self._offset_arr
+        return self.space.stack(points) + np.asarray(self.offset)
 
     def _inverse(self):
         return EuclideanTranslation(self.space, tuple(-c for c in self.offset), self.adjoint_kind)
@@ -137,9 +124,6 @@ class EuclideanScaling(SymmetryMap):
         if not isinstance(self.space, Euclidean):
             raise SpaceMismatch("EuclideanScaling acts on a Euclidean space")
         object.__setattr__(self, "ratio", float(self.ratio))
-
-    def apply(self, x):
-        return self.ratio * self.space.canonicalize(x)
 
     def apply_many(self, points) -> np.ndarray:
         return self.ratio * self.space.stack(points)

@@ -305,6 +305,44 @@ def test_gram_with_non_integral_group_points_exits_2(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["dim"] == 3
 
 
+# JSON integers too large for a float: each command exits 2, never 1 with an
+# OverflowError traceback.
+HUGE = 10**400
+PLANE_GAUSSIAN = {"form": "gaussian", "space": {"kind": "euclidean", "dim": 2}}
+
+
+def test_gram_with_a_huge_point_coordinate_exits_2(tmp_path, capsys):
+    kernel = _write(tmp_path, "k.json", PLANE_GAUSSIAN)
+    points = _write(tmp_path, "p.json", [[HUGE, 0.0], [1.0, 0.0]])
+    _exits_2(capsys, ["gram", "--kernel", kernel, "--points", points], "coordinates")
+    kernel = _write(tmp_path, "k.json", scalar_kernel_to_json(CircleExpCos(Circle())))
+    points = _write(tmp_path, "p.json", [HUGE, 1.0])
+    _exits_2(capsys, ["gram", "--kernel", kernel, "--points", points], "circle angle")
+
+
+def test_gram_with_a_huge_sigma_exits_2(tmp_path, capsys):
+    kernel = _write(tmp_path, "k.json", {**PLANE_GAUSSIAN, "sigma": HUGE})
+    points = _write(tmp_path, "p.json", [[0.0, 0.0], [1.0, 0.0]])
+    _exits_2(capsys, ["gram", "--kernel", kernel, "--points", points], "scalar_kernel_from_json")
+
+
+def test_orbit_with_a_huge_angle_exits_2(tmp_path, capsys):
+    config = {"space": {"kind": "circle"}, "action_kind": "circle_rotation", "parameters": {"angle": HUGE}}
+    phi = _write(tmp_path, "m.json", config)
+    points = _write(tmp_path, "p.json", [0.0, 2.0])
+    _exits_2(capsys, ["orbit", "--map", phi, "--points", points], "map_from_json")
+
+
+def test_verify_config_with_a_huge_min_sep_exits_2(tmp_path, capsys):
+    config = _write(tmp_path, "cfg.json", {"min_sep": HUGE})
+    _exits_2(capsys, ["verify", "circle-example1", "--config", config], "min_sep")
+
+
+def test_fourier_analyze_with_a_huge_value_exits_2(tmp_path, capsys):
+    values = _write(tmp_path, "psi.json", [HUGE, 0])
+    _exits_2(capsys, ["fourier", "analyze", "--group", "2", "--input", values], "complex_from_json")
+
+
 # Valid inputs for the mutation property: (argv with {file} placeholders,
 # files, the file to mutate). Generated integers stay small, so that no
 # mutation is a well-formed request for an enormous computation.

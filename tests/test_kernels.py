@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from kernelcex.counterexample import build_adjoint, build_unitary
 from kernelcex.errors import DuplicatePoints, MissingAdjoint, ZeroVector
 from kernelcex.kernels import (
     CircleExpCos,
@@ -17,14 +18,17 @@ from kernelcex.kernels import (
     check_adjoint_invariance,
     check_unitary_invariance,
     gram,
+    pair_values,
     project,
 )
 from kernelcex.numcore import classify
 from kernelcex.spaces import Circle, ComplexSphere, Euclidean, FiniteAbelian, sample_distinct
 from kernelcex.symmetry import (
     CircleRotation,
+    ComplexSphereRotation,
     EuclideanScaling,
     EuclideanTranslation,
+    GroupTranslation,
 )
 
 CIRCLE = Circle()
@@ -273,3 +277,31 @@ def test_adjoint_invariance_pass_and_fail():
     bare = [EuclideanTranslation(space, (0.7, -0.2))]
     with pytest.raises(MissingAdjoint):
         check_adjoint_invariance(DotExp(space), bare, pairs)
+
+
+def _grid_cases():
+    sphere = ComplexSphere(2)
+    group = FiniteAbelian((3, 4))
+    coeffs = tuple(1.0 / (1 + g) for g in range(group.order))
+    return [
+        build_unitary(CircleExpCos(CIRCLE), CircleRotation(CIRCLE, 1.0)).as_matrix,
+        build_unitary(Gaussian(PLANE), EuclideanTranslation(PLANE, (0.5, -0.2))).as_matrix,
+        build_adjoint(DotExp(PLANE), EuclideanScaling(PLANE, 2.0)).as_matrix,
+        build_unitary(DotExp(sphere), ComplexSphereRotation(sphere, 0.7)).as_matrix,
+        build_unitary(GroupFourier(group, coeffs), GroupTranslation(group, (1, 2))).as_matrix,
+        TorusProduct(PLANE),
+    ]
+
+
+@pytest.mark.parametrize(
+    "kernel", _grid_cases(), ids=["circle", "gaussian", "dotexp-adjoint", "sphere", "group", "torus-scalar"]
+)
+def test_pair_values_in_chunks_equal_the_full_block_diagonal(kernel):
+    space = kernel.space
+    rng = np.random.default_rng(3)
+    X, Y = space.stack(space.random_points(rng, 256)), space.stack(space.random_points(rng, 256))
+    grid = kernel.entries if isinstance(kernel, MatrixKernel) else ((kernel,),)
+    full = np.array([[np.diagonal(entry.block(X, Y)) for entry in row] for row in grid])
+    got = pair_values(kernel, X, Y)
+    assert got.shape == (256, len(grid), len(grid))
+    np.testing.assert_array_equal(got, np.moveaxis(full, -1, 0))

@@ -5,9 +5,14 @@
 its points in one block. ``_check_aperiodic_per_probe``,
 ``_check_center_per_probe`` and ``_probe_pairs_per_draw`` are the scalar
 loops, kept here as references: the violations, their order, their powers
-and the drawn pairs must be the same. The complex sphere's scalar
-operations are one-row views of the stacked ones, so the two agree bit for
-bit.
+and the drawn pairs must be the same, and so must the center distances.
+
+Every scalar operation of a space or map is the one-row view of its stacked
+form, except ``Circle`` and ``Euclidean`` ``canonicalize`` and ``distance``:
+those stay as a fast path for callers that compare one pair at a time, and
+they round exactly as ``stack`` and ``distances`` do. So scalar and stacked
+results agree bit for bit on every space and map, and the structural test
+below pins the four kept overrides.
 """
 
 import math
@@ -17,12 +22,14 @@ import pytest
 
 from kernelcex.errors import NonFiniteValue, SpaceMismatch
 from kernelcex.harness import _draw, _probe_pairs
-from kernelcex.spaces import Circle, ComplexSphere, Euclidean
+from kernelcex.spaces import Circle, ComplexSphere, Euclidean, FiniteAbelian, Space
 from kernelcex.symmetry import (
     CircleRotation,
     ComplexSphereRotation,
     EuclideanScaling,
     EuclideanTranslation,
+    GroupTranslation,
+    SymmetryMap,
     check_aperiodic,
     check_center,
 )
@@ -146,8 +153,7 @@ def test_check_center_matches_the_scalar_loop(phi):
         assert len(got.violations) == len(want)
         for (psi, x, d), (psi_ref, x_ref, d_ref) in zip(got.violations, want):
             assert psi is psi_ref and x is x_ref
-            # The scalar Euclidean distance sums its squares in another order.
-            assert d == pytest.approx(d_ref, rel=1e-15)
+            assert d == d_ref
 
 
 def test_check_center_flags_the_non_commuting_generators():
@@ -179,36 +185,102 @@ def test_probe_pairs_match_the_per_draw_pairs(space, radius):
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
-@pytest.mark.parametrize("dim", [1, 2, 3, 5, 8])
-def test_complex_sphere_scalar_operations_are_bit_identical_to_stacked(dim):
-    space = ComplexSphere(dim)
-    rotation = ComplexSphereRotation(space, 0.7)
+def _space_and_maps():
+    yield CIRCLE, [CircleRotation(CIRCLE, 0.7), CircleRotation(CIRCLE, -2 * math.pi / 3)]
+    for dim in (1, 2, 3, 5, 8):
+        space = Euclidean(dim)
+        offset = tuple(np.linspace(-1.5, 2.5, dim))
+        yield space, [EuclideanTranslation(space, offset), EuclideanScaling(space, -1.5)]
+    for dim in (1, 2, 3, 5, 8):
+        space = ComplexSphere(dim)
+        yield space, [ComplexSphereRotation(space, 0.7)]
+    for orders in ((5,), (3, 4)):
+        space = FiniteAbelian(orders)
+        yield space, [GroupTranslation(space, tuple(range(1, len(orders) + 1)))]
+
+
+def _raw(space, rows):
+    """Draws moved off their canonical form, so canonicalization has work."""
+    if isinstance(space, (Circle, Euclidean)):
+        return rows * 3.0
+    return rows - 5 if isinstance(space, FiniteAbelian) else rows
+
+
+SCALAR_CASES = list(_space_and_maps())
+
+
+@pytest.mark.parametrize("space,maps", SCALAR_CASES, ids=[repr(space) for space, _ in SCALAR_CASES])
+def test_scalar_operations_are_bit_identical_to_stacked(space, maps):
     for seed in range(3):
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         rows = space.random_points(rng, 60)
-        drawn = np.array([space.random_point(ref_rng) for _ in range(60)])
-        np.testing.assert_array_equal(drawn, rows)
+        drawn = [space.random_point(ref_rng) for _ in range(60)]
         assert rng.bit_generator.state == ref_rng.bit_generator.state
-        X = space.stack(rows)
-        np.testing.assert_array_equal(np.array([space.canonicalize(x) for x in rows]), X)
-        np.testing.assert_array_equal(np.array([rotation.apply(x) for x in X]), rotation.apply_many(X))
+        assert all(type(x) is type(y) for x, y in zip(drawn, space.unstack(rows)))
+        np.testing.assert_array_equal(np.array(drawn), rows)
+        raw = list(_raw(space, rows))
+        X = space.stack(raw)
+        canonical = [space.canonicalize(x) for x in raw]
+        assert all(type(x) is type(y) for x, y in zip(canonical, space.unstack(X)))
+        np.testing.assert_array_equal(np.array(canonical), X)
+        for phi in maps:
+            images = [phi.apply(x) for x in raw]
+            assert all(type(x) is type(y) for x, y in zip(images, canonical))
+            np.testing.assert_array_equal(np.array(images), phi.apply_many(raw))
         D = space.distances(X, X[::-1])
         want = np.array([[space.distance(x, y) for y in X[::-1]] for x in X])
         np.testing.assert_array_equal(want, D)
 
 
-def test_complex_sphere_canonicalize_keeps_its_typed_errors():
-    space = ComplexSphere(2)
-    for bad in ([1.0, 0.0, 0.0], [], 1.0, [[1.0, 0.0]], [1.0, "x"]):
-        with pytest.raises(SpaceMismatch):
-            space.canonicalize(bad)
-    with pytest.raises(SpaceMismatch):
-        space.canonicalize([2.0, 0.0])
-    with pytest.raises(NonFiniteValue):
-        space.canonicalize([math.nan, 0.0])
-    x = space.canonicalize([0.6, 0.8j])
+# Scalar operations a space or map class could define for itself.
+SCALAR_OPERATIONS = {"canonicalize", "distance", "points_equal", "random_point", "apply"}
+
+
+def test_only_the_circle_and_euclidean_metric_fast_paths_are_scalar_overrides():
+    classes = [
+        cls
+        for base in (Space, SymmetryMap)
+        for cls in base.__subclasses__()
+        if cls.__module__.startswith("kernelcex.")
+    ]
+    assert len(classes) == 9
+    overrides = {(cls.__name__, name) for cls in classes for name in SCALAR_OPERATIONS & vars(cls).keys()}
+    assert overrides == {
+        ("Circle", "canonicalize"),
+        ("Circle", "distance"),
+        ("Euclidean", "canonicalize"),
+        ("Euclidean", "distance"),
+    }
+
+
+@pytest.mark.parametrize(
+    "space,mismatched,non_finite",
+    [
+        (CIRCLE, ["x", [1.0], [[1.0]], 10**400], [math.nan, math.inf]),
+        (E2, [[1.0, 0.0, 0.0], [], 1.0, [[1.0, 0.0]], [1.0, "x"], [1j, 0.0], [10**400, 0.0]], [[math.nan, 0.0]]),
+        (SPHERE, [[1.0, 0.0, 0.0], [], 1.0, [[1.0, 0.0]], [1.0, "x"], [2.0, 0.0]], [[math.nan, 0.0]]),
+    ],
+    ids=["circle", "euclidean", "complex-sphere"],
+)
+def test_canonicalize_keeps_its_typed_errors(space, mismatched, non_finite):
+    # The one-point form raises what the stacked form raises for that point.
+    for bad in mismatched:
+        for operation in (space.canonicalize, lambda x: space.stack([x])):
+            with pytest.raises(SpaceMismatch):
+                operation(bad)
+    for bad in non_finite:
+        for operation in (space.canonicalize, lambda x: space.stack([x])):
+            with pytest.raises(NonFiniteValue):
+                operation(bad)
+
+
+def test_canonical_forms_and_distances_of_single_points():
+    x = SPHERE.canonicalize([0.6, 0.8j])
     assert x.dtype == np.complex128 and x.shape == (2,)
-    assert space.distance([1.0, 0.0], [0.0, 1.0]) == math.sqrt(2.0)
+    assert SPHERE.distance([1.0, 0.0], [0.0, 1.0]) == math.sqrt(2.0)
+    y = E2.canonicalize([3, 4])
+    assert y.dtype == np.float64 and y.shape == (2,)
+    assert E2.distance(y, [0.0, 0.0]) == 5.0
 
 
 @pytest.mark.parametrize("space", [CIRCLE, E3, SPHERE], ids=repr)
