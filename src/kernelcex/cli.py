@@ -13,6 +13,7 @@ import sys
 import numpy as np
 
 from .errors import ConfigError, KernelCexError
+from .fourier import analyze, synthesize
 from .harness import SuiteConfig, emit_report, list_suites, run_suite
 from .kernels import gram
 from .numcore import classify
@@ -100,8 +101,6 @@ def _parse_group(text: str) -> FiniteAbelian:
 
 
 def _cmd_fourier(args) -> int:
-    from .fourier import analyze, synthesize
-
     group = _parse_group(args.group)
     data = _load_json(args.input)
     if not isinstance(data, (list, dict)):
@@ -174,10 +173,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except KernelCexError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError) as exc:
+    except (KernelCexError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

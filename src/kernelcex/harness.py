@@ -414,27 +414,21 @@ def _witness_record(cfg: SuiteConfig, cex, x, name="degeneracy-witness") -> Chec
         return _rec(name, claim, False, error=str(exc))
     matrix = gram(cex.as_matrix, w.points)
     verdict = classify(matrix, cfg.pd_tol)
-    n = len(w.points)
     flat = w.flattened()
     annih = float(np.linalg.norm(matrix.entries @ flat)) / float(np.linalg.norm(flat))
     angle = _null_alignment_angle(verdict, flat)
-    passed = (
-        verdict.kind is not PDKind.INDEFINITE
-        and verdict.min_eigenvalue <= cfg.pd_tol * verdict.scale
-        and abs(w.achieved_form_value) <= cfg.resid_tol * verdict.scale * 2 * n
-        and annih <= cfg.resid_tol * verdict.scale
-    )
+    # witness() has already bounded the form value by resid_tol * scale * |flat|^2.
     return _rec(
         name,
         claim,
-        passed,
+        verdict.is_degenerate and annih <= cfg.resid_tol * verdict.scale,
         min_eigenvalue=verdict.min_eigenvalue,
         scale=verdict.scale,
         numeric_rank=verdict.numeric_rank,
         form_value=w.achieved_form_value,
         annihilation_residual=annih,
         null_alignment_angle=angle,
-        n_witness_points=n,
+        n_witness_points=len(w.points),
     )
 
 
@@ -957,16 +951,13 @@ def _suite_embed(cfg: SuiteConfig) -> list[CheckRecord]:
 
     x0 = 0.0
     wpts = [x0, phi.apply(x0)]
-    verdict = classify(gram(padded, wpts), cfg.pd_tol)
+    matrix = gram(padded, wpts)
+    verdict = classify(matrix, cfg.pd_tol)
     flat = np.zeros(6, dtype=np.complex128)
     flat[0] = 1.0
     flat[3] = -1.0
-    ann = float(np.linalg.norm(gram(padded, wpts).entries @ flat)) / math.sqrt(2.0)
-    degenerate = (
-        verdict.kind is not PDKind.INDEFINITE
-        and verdict.min_eigenvalue <= cfg.pd_tol * verdict.scale
-        and ann <= cfg.resid_tol * verdict.scale
-    )
+    ann = float(np.linalg.norm(matrix.entries @ flat)) / math.sqrt(2.0)
+    degenerate = verdict.is_degenerate and ann <= cfg.resid_tol * verdict.scale
     return [
         _rec(
             "first-block-projections",

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -157,13 +156,10 @@ class GroupFourier(ScalarKernel):
         if coeffs.shape != (self.space.order,):
             raise DimensionMismatch(f"need {self.space.order} coefficients, got shape {coeffs.shape}")
         object.__setattr__(self, "coefficients", tuple(coeffs.tolist()))
-
-    @cached_property
-    def _difference_table(self) -> np.ndarray:
         # psi(d) = sum_g c_g xi_g(d), evaluated once per group element.
         from .fourier import character_table
 
-        return np.asarray(self.coefficients) @ character_table(self.space)
+        object.__setattr__(self, "_difference_table", coeffs @ character_table(self.space))
 
     def block(self, X, Y) -> np.ndarray:
         # k(x, y) = psi(x - y).
@@ -235,16 +231,10 @@ class MatrixKernel:
                 if entry.space != self.space:
                     raise SpaceMismatch("all grid entries must live on the same space")
         object.__setattr__(self, "entries", grid)
-
-    @cached_property
-    def _live_entries(self) -> tuple[tuple[int, int, ScalarKernel], ...]:
-        """Grid positions and entries that are not ``ZeroKernel``s."""
-        return tuple(
-            (i, j, entry)
-            for i, row in enumerate(self.entries)
-            for j, entry in enumerate(row)
-            if not isinstance(entry, ZeroKernel)
-        )
+        # Grid positions and entries that are not ``ZeroKernel``s.
+        live = tuple((i, j, e) for i, row in enumerate(grid) for j, e in enumerate(row)
+                     if not isinstance(e, ZeroKernel))
+        object.__setattr__(self, "_live_entries", live)
 
     def block(self, X, Y) -> np.ndarray:
         """The (ell n) x (ell m) matrix whose block (i, j) is entry (i, j)'s
@@ -268,15 +258,14 @@ class ProjectedKernel(ScalarKernel):
     matrix: MatrixKernel
     v: tuple[complex, ...]
 
+    def __post_init__(self):
+        vec = np.asarray(self.v, dtype=np.complex128)
+        vec.setflags(write=False)
+        object.__setattr__(self, "_vec", vec)
+
     @property
     def space(self) -> Space:
         return self.matrix.space
-
-    @cached_property
-    def _vec(self) -> np.ndarray:
-        vec = np.asarray(self.v, dtype=np.complex128)
-        vec.setflags(write=False)
-        return vec
 
     def block(self, X, Y) -> np.ndarray:
         # sum_ij conj(v_i) v_j K_ij(X, Y), contracted from the grid's block.

@@ -2,11 +2,11 @@
 
 All thresholds are relative to the spectral scale of the matrix at hand
 (largest absolute eigenvalue), because Gram entries of the kernel catalog
-span several orders of magnitude. ``classify`` decides one matrix and
-returns null vectors; ``classify_many`` applies the same rules to a stack
-of matrices with one batched eigenvalue call. Non-finite entries are
-rejected rather than classified. Everything here is pure and safe to use
-from concurrent workers.
+span several orders of magnitude. The verdict rule lives in one place,
+``_verdicts``: ``classify`` applies it to one matrix and returns null
+vectors, ``classify_many`` to a stack of matrices after one batched
+eigenvalue call. Non-finite entries are rejected rather than classified.
+Everything here is pure and safe to use from concurrent workers.
 """
 
 from __future__ import annotations
@@ -104,25 +104,35 @@ def _symmetrized(arr: np.ndarray) -> np.ndarray:
     return 0.5 * (arr + np.swapaxes(arr, -2, -1).conj())
 
 
-def _kind(min_eig: float, cutoff: float) -> PDKind:
-    if min_eig > cutoff:
-        return PDKind.POSITIVE_DEFINITE
-    if min_eig < -cutoff:
-        return PDKind.INDEFINITE
-    return PDKind.POSITIVE_SEMIDEFINITE_DEGENERATE
+def _spectrum(solver, arr: np.ndarray):
+    try:
+        return solver(_symmetrized(arr))
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(str(exc)) from exc
+
+
+def _verdicts(eigvals: np.ndarray, tol: float):
+    """The verdict rule for each row of ascending eigenvalues: scales (largest
+    absolute eigenvalue), smallest eigenvalues, cutoffs ``tol * scale``, kinds
+    (positive definite above the cutoff, indefinite below minus it, degenerate
+    between) and numeric ranks (eigenvalues above the cutoff in magnitude)."""
+    scales = np.max(np.abs(eigvals), axis=1)
+    cutoffs = tol * scales
+    min_eigs = eigvals[:, 0]
+    kinds = tuple(
+        PDKind.POSITIVE_DEFINITE if m > c
+        else PDKind.INDEFINITE if m < -c
+        else PDKind.POSITIVE_SEMIDEFINITE_DEGENERATE
+        for m, c in zip(min_eigs.tolist(), cutoffs.tolist())
+    )
+    ranks = np.count_nonzero(np.abs(eigvals) > cutoffs[:, None], axis=1)
+    return scales, min_eigs, cutoffs, kinds, ranks
 
 
 def _coerce(matrix) -> HermitianMatrix:
     if isinstance(matrix, HermitianMatrix):
         return matrix
     return HermitianMatrix(np.asarray(matrix))
-
-
-def _eigh(matrix: HermitianMatrix) -> tuple[np.ndarray, np.ndarray]:
-    try:
-        return np.linalg.eigh(matrix.symmetrized())
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(str(exc)) from exc
 
 
 def classify(matrix, tol: float = PD_TOL) -> PDVerdict:
@@ -143,22 +153,18 @@ def classify(matrix, tol: float = PD_TOL) -> PDVerdict:
     if tol <= 0:
         raise ValueError("tol must be positive")
     mat = _coerce(matrix)
-    eigvals, eigvecs = _eigh(mat)
-    scale = float(np.max(np.abs(eigvals)))
-    cutoff = tol * scale
-    min_eig = float(eigvals[0])
-    rank = int(np.count_nonzero(np.abs(eigvals) > cutoff))
-    kind = _kind(min_eig, cutoff)
-    if kind is PDKind.POSITIVE_SEMIDEFINITE_DEGENERATE:
-        null = eigvecs[:, np.abs(eigvals) <= cutoff]
+    eigvals, eigvecs = _spectrum(np.linalg.eigh, mat.entries)
+    scales, min_eigs, cutoffs, kinds, ranks = _verdicts(eigvals[None], tol)
+    if kinds[0] is PDKind.POSITIVE_SEMIDEFINITE_DEGENERATE:
+        null = eigvecs[:, np.abs(eigvals) <= cutoffs[0]]
     else:
         null = np.zeros((mat.dim, 0), dtype=np.complex128)
     return PDVerdict(
-        kind=kind,
-        min_eigenvalue=min_eig,
-        numeric_rank=rank,
+        kind=kinds[0],
+        min_eigenvalue=float(min_eigs[0]),
+        numeric_rank=int(ranks[0]),
         null_vectors=null,
-        scale=scale,
+        scale=float(scales[0]),
     )
 
 
@@ -166,7 +172,7 @@ def classify(matrix, tol: float = PD_TOL) -> PDVerdict:
 class BatchVerdict:
     """Verdicts for a stack of Hermitian matrices, one entry per matrix.
 
-    The rules are those of ``classify``; null vectors are not computed.
+    The rule is that of ``classify``; null vectors are not computed.
     """
 
     kinds: tuple[PDKind, ...]
@@ -185,20 +191,9 @@ def classify_many(matrices, tol: float = PD_TOL) -> BatchVerdict:
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    arr = _checked_stack(matrices, 3)
-    try:
-        eigvals = np.linalg.eigvalsh(_symmetrized(arr))
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(str(exc)) from exc
-    scales = np.max(np.abs(eigvals), axis=1)
-    cutoffs = tol * scales
-    min_eigs = eigvals[:, 0]
-    return BatchVerdict(
-        kinds=tuple(_kind(m, c) for m, c in zip(min_eigs.tolist(), cutoffs.tolist())),
-        min_eigenvalues=min_eigs,
-        numeric_ranks=np.count_nonzero(np.abs(eigvals) > cutoffs[:, None], axis=1),
-        scales=scales,
-    )
+    eigvals = _spectrum(np.linalg.eigvalsh, _checked_stack(matrices, 3))
+    scales, min_eigs, _, kinds, ranks = _verdicts(eigvals, tol)
+    return BatchVerdict(kinds=kinds, min_eigenvalues=min_eigs, numeric_ranks=ranks, scales=scales)
 
 
 def quadratic_form(matrix, coefficients) -> float:

@@ -49,8 +49,13 @@ def _wrap_angle(a):
 
 
 def _as_array(points, dtype, what: str) -> np.ndarray:
+    """The points as one array of ``dtype`` (None keeps numpy's choice)."""
     try:
-        return np.asarray(points, dtype=dtype)
+        arr = np.asarray(points)
+        # A cast to a real dtype would keep only the real parts.
+        if arr.dtype.kind == "c" and dtype is np.float64:
+            raise SpaceMismatch(f"complex values in a list of {what}")
+        return arr if dtype is None else arr.astype(dtype, copy=False)
     except (TypeError, ValueError, OverflowError) as exc:
         raise SpaceMismatch(f"not a list of {what}") from exc
 
@@ -120,6 +125,9 @@ class Circle(Space):
 
     def canonicalize(self, x) -> float:
         try:
+            # float() of a numpy complex would keep only its real part.
+            if not isinstance(x, (float, int)) and np.iscomplexobj(x):
+                raise SpaceMismatch(f"complex circle angle {x!r}")
             angle = float(x)
         except (TypeError, ValueError, OverflowError) as exc:
             raise SpaceMismatch(f"not a circle angle: {x!r}") from exc

@@ -10,6 +10,7 @@ from kernelcex.numcore import (
     HermitianMatrix,
     PDKind,
     classify,
+    classify_many,
     numeric_rank,
     quadratic_form,
 )
@@ -167,3 +168,39 @@ def test_degenerate_null_vectors_have_small_residual():
     for j in range(verdict.null_vectors.shape[1]):
         v = verdict.null_vectors[:, j]
         assert np.linalg.norm(m @ v) <= 1e-8 * verdict.scale * np.linalg.norm(v)
+
+
+TOL = 2.0**-20  # a power of two, so tol * scale is exact
+
+
+@pytest.mark.parametrize(
+    "diagonal,kind,rank",
+    [
+        ([4.0, 1.0, 4.0 * TOL], PDKind.POSITIVE_SEMIDEFINITE_DEGENERATE, 2),
+        ([1.0, 0.0, 4.0], PDKind.POSITIVE_SEMIDEFINITE_DEGENERATE, 2),
+        ([-4.0 * TOL, 4.0, 1.0], PDKind.POSITIVE_SEMIDEFINITE_DEGENERATE, 2),
+        ([4.0, 8.0 * TOL, 1.0], PDKind.POSITIVE_DEFINITE, 3),
+        ([4.0, 1.0, -8.0 * TOL], PDKind.INDEFINITE, 3),
+    ],
+    ids=["plus-cutoff", "zero", "minus-cutoff", "above", "below"],
+)
+def test_classify_and_classify_many_agree_at_the_cutoff(diagonal, kind, rank):
+    # Diagonal entries are the exact eigenvalues; scale 4, cutoff 4 * TOL.
+    m = np.diag(diagonal)
+    one = classify(m, TOL)
+    many = classify_many([m, m], TOL)
+    assert (one.kind, one.numeric_rank, one.scale) == (kind, rank, 4.0)
+    assert one.min_eigenvalue == min(diagonal)
+    assert many.kinds == (kind, kind)
+    assert many.numeric_ranks.tolist() == [rank, rank]
+    assert many.min_eigenvalues.tolist() == [min(diagonal)] * 2
+    assert many.scales.tolist() == [4.0, 4.0]
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-9])
+def test_nonpositive_tol_is_rejected_before_the_matrix_is_checked(tol):
+    bad = [[math.nan, 1.0], [2.0, 3.0]]
+    with pytest.raises(ValueError, match="tol must be positive"):
+        classify(bad, tol)
+    with pytest.raises(ValueError, match="tol must be positive"):
+        classify_many([bad], tol)

@@ -121,3 +121,19 @@ def test_sampled_points_pass_points_equal_false():
         for i in range(len(pts)):
             for j in range(i + 1, len(pts)):
                 assert not space.points_equal(pts[i], pts[j])
+
+
+@pytest.mark.parametrize(
+    "operation",
+    [
+        lambda: Euclidean(2).stack(np.array([[1j, 0]])),
+        lambda: Circle().canonicalize(np.complex128(2 + 1j)),
+        lambda: Circle().stack(np.array([2 + 1j])),
+        lambda: Euclidean(2).canonicalize(np.array([1j, 0])),
+    ],
+    ids=["euclidean-stack", "circle-canonicalize", "circle-stack", "euclidean-canonicalize"],
+)
+def test_complex_numpy_points_of_a_real_space_are_rejected(operation):
+    # A cast to float would keep the real part and return a different point.
+    with pytest.raises(SpaceMismatch):
+        operation()
