@@ -702,78 +702,164 @@ def _suite_complex_sphere(cfg: SuiteConfig) -> list[CheckRecord]:
     return records
 
 
-def _orbit_oracle(phi: SymmetryMap, pts):
-    """Brute-force orbit split: F, tau and the merged point set as a stack.
+# Orbit instances are drawn, mapped and checked this many at a time; the
+# streams and the instances do not depend on it.
+_ORBIT_CHUNK = 50
+# Points of one orbit instance stay more than this far apart.
+_ORBIT_GAP = 1e-3
+
+
+def _padded(stacks, width: int) -> np.ndarray:
+    """Point stacks padded with zero rows to one (len(stacks), width, ...) stack."""
+    out = np.zeros((len(stacks), width) + stacks[0].shape[1:], stacks[0].dtype)
+    for r, X in enumerate(stacks):
+        out[r, : len(X)] = X
+    return out
+
+
+def _by_space(phis) -> dict[Space, list[int]]:
+    """Positions of the maps, grouped by the space they act on."""
+    groups: dict[Space, list[int]] = {}
+    for i, phi in enumerate(phis):
+        groups.setdefault(phi.space, []).append(i)
+    return groups
+
+
+def _orbit_oracles(instances):
+    """Brute-force orbit split of each (map, points) instance: F, tau and the
+    merged point set as a stack.
 
     ``tau[mu]`` is the first input point that the image of point mu hits;
     the merged set keeps each image, then each input point, that coincides
-    with none kept before it.
+    with none kept before it. Instances of one space are padded to one stack,
+    so each space takes one ``distances`` call for the hits and one for the
+    merge; padding rows are masked out of both.
     """
-    space = phi.space
-    X = space.stack(pts)
-    images = phi.apply_many(X)
-    hits = space.distances(images, X) <= space.eq_tol
-    F = np.flatnonzero(hits.any(axis=1)).tolist()
-    tau = dict(zip(F, hits[F].argmax(axis=1).tolist()))
-    cands = np.concatenate([images, X])
-    close = space.distances(cands, cands) <= space.eq_tol
-    kept: list[int] = []
-    for i in range(len(cands)):
-        if not close[i, kept].any():
-            kept.append(i)
-    return F, tau, cands[kept]
+    out = [None] * len(instances)
+    for space, members in _by_space(phi for phi, _ in instances).items():
+        stacks = [space.stack(instances[i][1]) for i in members]
+        n = np.array([len(X) for X in stacks])
+        width = int(n.max())
+        X = _padded(stacks, width)
+        images = _padded([instances[i][0].apply_many(Xi) for i, Xi in zip(members, stacks)], width)
+        real = np.arange(width) < n[:, None]
+        hits = (space.distances(images, X) <= space.eq_tol) & real[:, :, None] & real[:, None, :]
+        hit_any = hits.any(axis=2)
+        first_hit = hits.argmax(axis=2)
+        cands = np.concatenate([images, X], axis=1)
+        close = space.distances(cands, cands) <= space.eq_tol
+        real_cand = np.concatenate([real, real], axis=1)
+        kept = np.zeros_like(real_cand)
+        for c in range(2 * width):
+            kept[:, c] = real_cand[:, c] & ~(close[:, c] & kept).any(axis=1)
+        for r, i in enumerate(members):
+            F = np.flatnonzero(hit_any[r]).tolist()
+            out[i] = (F, dict(zip(F, first_hit[r, F].tolist())), cands[r][kept[r]])
+    return out
 
 
-def _orbit_instance(idx: int, rng: np.random.Generator):
-    """A map and a stack of up to 10 points, pairwise more than ``min_gap``
-    apart; each candidate is, at even odds, the image of an accepted point
-    or a fresh draw."""
+def _orbit_oracle(phi: SymmetryMap, pts):
+    """The one-instance view of ``_orbit_oracles``."""
+    return _orbit_oracles([(phi, pts)])[0]
+
+
+def _orbit_setup(idx: int, rng: np.random.Generator):
+    """An instance's map, its point count and its seeder of fresh points."""
     family = idx % 3
     n = int(rng.integers(2, 11))
     if family == 0:
         space = Euclidean(1)
         phi = EuclideanTranslation(space, (float(rng.uniform(0.4, 1.6)),))
         seeder = lambda: rng.uniform(-8.0, 8.0, 1)
-        min_gap = 1e-3
     elif family == 1:
         space = Euclidean(1)
         ratio = float(rng.choice([2.0, -2.0, 1.5, 2.5]))
         phi = EuclideanScaling(space, ratio)
         seeder = lambda: np.array([rng.uniform(0.2, 3.0) * rng.choice([-1.0, 1.0])])
-        min_gap = 1e-3
     else:
         space = Circle()
         phi = CircleRotation(space, float(rng.uniform(0.3, 2.6)))
         seeder = lambda: rng.uniform(-math.pi, math.pi)
-        min_gap = 1e-3
+    return phi, n, seeder
 
-    first = space.stack([seeder()])
-    X = np.empty((n,) + first.shape[1:])
-    X[0] = first[0]
-    k = 1
-    guard = 0
-    while k < n and guard < 500:
-        guard += 1
-        if rng.random() < 0.5:
-            j = int(rng.integers(k))
-            cand = phi.apply_many(X[j : j + 1])
-        else:
-            cand = space.stack([seeder()])
-        if (space.distances(cand, X[:k]) > min_gap).all():
-            X[k] = cand[0]
-            k += 1
-    return phi, X[:k]
+
+def _orbit_instances(idxs, rngs):
+    """A map and a stack of up to 10 points for each index, each instance
+    drawn from its own generator.
+
+    The points stay pairwise more than ``_ORBIT_GAP`` apart; after a seeded
+    first point, each candidate is, at even odds, the image of an accepted
+    point or a fresh draw, for up to 500 candidates. The instances advance in
+    lockstep: each step makes, for every instance still short of its points,
+    the draws that one step of a one-instance loop makes on its generator, so
+    neither the streams nor the instances depend on the chunk. Fresh draws of
+    one space are canonicalized by one ``stack``, and one masked ``distances``
+    call per space tests every candidate against its instance's points.
+    """
+    setups = [_orbit_setup(idx, rng) for idx, rng in zip(idxs, rngs)]
+    width = max(n for _, n, _ in setups)
+    count = [1] * len(setups)
+    guard = [0] * len(setups)
+    row: dict[int, int] = {}
+    points: dict[Space, np.ndarray] = {}
+    live: dict[Space, list[int]] = {}
+    for space, members in _by_space(phi for phi, _, _ in setups).items():
+        first = space.stack([setups[i][2]() for i in members])
+        points[space] = np.zeros((len(members), width) + first.shape[1:], first.dtype)
+        points[space][:, 0] = first
+        row.update((i, r) for r, i in enumerate(members))
+        live[space] = [i for i in members if setups[i][1] > 1]
+    while any(live.values()):
+        for space, members in live.items():
+            if not members:
+                continue
+            X = points[space]
+            cand = np.empty((len(members),) + X.shape[2:], X.dtype)
+            seeded, fresh = [], []
+            for slot, i in enumerate(members):
+                phi, _, seeder = setups[i]
+                rng = rngs[i]
+                guard[i] += 1
+                if rng.random() < 0.5:
+                    j = int(rng.integers(count[i]))
+                    cand[slot] = phi.apply_many(X[row[i], j : j + 1])[0]
+                else:
+                    seeded.append(slot)
+                    fresh.append(seeder())
+            if fresh:
+                cand[seeded] = space.stack(fresh)
+            rows = [row[i] for i in members]
+            k = np.array([count[i] for i in members])
+            gaps = space.distances(cand[:, None], X[rows])[:, 0]
+            clear = ((gaps > _ORBIT_GAP) | (np.arange(width) >= k[:, None])).all(axis=1)
+            for slot in np.flatnonzero(clear).tolist():
+                i = members[slot]
+                X[row[i], count[i]] = cand[slot]
+                count[i] += 1
+            live[space] = [i for i in members if count[i] < setups[i][1] and guard[i] < 500]
+    return [(phi, points[phi.space][row[i], : count[i]]) for i, (phi, _, _) in enumerate(setups)]
+
+
+def _orbit_instance(idx: int, rng: np.random.Generator):
+    """The one-instance view of ``_orbit_instances``."""
+    return _orbit_instances([idx], [rng])[0]
+
+
+def _orbit_checks(cfg: SuiteConfig):
+    """Every orbit instance of the suite with its oracle split, made
+    ``_ORBIT_CHUNK`` instances at a time."""
+    for start in range(0, cfg.orbit_instances, _ORBIT_CHUNK):
+        idxs = range(start, min(start + _ORBIT_CHUNK, cfg.orbit_instances))
+        instances = _orbit_instances(idxs, [_rng(cfg, 31, idx) for idx in idxs])
+        yield from zip(instances, _orbit_oracles(instances))
 
 
 def _suite_orbit(cfg: SuiteConfig) -> list[CheckRecord]:
     mismatches = 0
     checked = 0
     escape_failures = 0
-    for idx in range(cfg.orbit_instances):
-        rng = _rng(cfg, 31, idx)
-        phi, pts = _orbit_instance(idx, rng)
+    for (phi, pts), (F, tau, merged) in _orbit_checks(cfg):
         space = phi.space
-        F, tau, merged = _orbit_oracle(phi, pts)
         try:
             dec = orbit_decompose(phi, pts)
         except KernelCexError:

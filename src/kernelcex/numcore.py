@@ -60,8 +60,10 @@ class PDVerdict:
     """Outcome of classifying a Hermitian matrix.
 
     ``null_vectors`` holds orthonormal columns spanning the numerical null
-    space; it is empty unless the matrix is degenerate. ``scale`` is the
-    largest absolute eigenvalue and normalizes every threshold.
+    space; it is empty unless the matrix is degenerate, and always empty in
+    a verdict of ``fourier.brute_force_strict``, which computes eigenvalues
+    only. ``scale`` is the largest absolute eigenvalue and normalizes every
+    threshold.
     """
 
     kind: PDKind

@@ -9,7 +9,10 @@ array of canonical points (``(n,)`` angles, ``(n, d)`` coordinates or
 ``(n, r)`` group elements), ``Space.unstack`` turns a stack back into a
 point list, and ``Space.distances`` measures every pair of two such stacks
 at once; the vectorised kernels, the sampler and the orbit split work on
-stacks.
+stacks. ``distances`` also takes leading stack axes: two stacks of a and b
+points under the same leading axes give an ``(..., a, b)`` array whose every
+slice equals the call on that slice bit for bit, so one call measures many
+point lists at once (``paired_distances`` is a stack of 1 x 1 slices).
 
 Each scalar operation is the one-row view of its stacked form, except the
 ``Circle`` and ``Euclidean`` ``canonicalize`` and ``distance``: callers that
@@ -89,12 +92,13 @@ class Space:
         return float(self.distances(self.stack([x]), self.stack([y]))[0, 0])
 
     def distances(self, X, Y) -> np.ndarray:
-        """Distance matrix between two stacks of canonical points."""
+        """Distance matrix between two stacks of canonical points, over any
+        leading stack axes the two share (see the module docstring)."""
         raise NotImplementedError
 
     def paired_distances(self, X, Y) -> np.ndarray:
-        """Distance from X[i] to Y[i] for each row."""
-        return paired_diagonal(self.distances, X, Y)
+        """Distance from X[i] to Y[i] for each row: a stack of 1 x 1 slices."""
+        return self.distances(X[:, None], Y[:, None])[:, 0, 0]
 
     def all_distinct(self, X) -> bool:
         """True iff no two points of a stack coincide within ``eq_tol``."""
@@ -153,7 +157,7 @@ class Circle(Space):
         return min(d, _TWO_PI - d)
 
     def distances(self, X, Y) -> np.ndarray:
-        d = np.abs(X[:, None] - Y[None, :])
+        d = np.abs(X[..., :, None] - Y[..., None, :])
         return np.minimum(d, _TWO_PI - d)
 
     def random_points(self, rng: np.random.Generator, k: int) -> np.ndarray:
@@ -187,8 +191,8 @@ class Euclidean(Space):
         return math.sqrt(float(np.einsum("k,k->", d, d)))
 
     def distances(self, X, Y) -> np.ndarray:
-        d = X[:, None, :] - Y[None, :, :]
-        return np.sqrt(np.einsum("abk,abk->ab", d, d))
+        d = X[..., :, None, :] - Y[..., None, :, :]
+        return np.sqrt(np.einsum("...abk,...abk->...ab", d, d))
 
     def random_points(self, rng: np.random.Generator, k: int) -> np.ndarray:
         return rng.standard_normal((k, self.dim))
@@ -214,8 +218,8 @@ class ComplexSphere(Space):
         return arr
 
     def distances(self, X, Y) -> np.ndarray:
-        d = X[:, None, :] - Y[None, :, :]
-        return np.sqrt(np.einsum("abk,abk->ab", d.conj(), d).real)
+        d = X[..., :, None, :] - Y[..., None, :, :]
+        return np.sqrt(np.einsum("...abk,...abk->...ab", d.conj(), d).real)
 
     def random_points(self, rng: np.random.Generator, k: int) -> np.ndarray:
         # Each point draws its real parts, then its imaginary parts.
@@ -275,7 +279,7 @@ class FiniteAbelian(Space):
         return [tuple(e) for e in X.tolist()]
 
     def distances(self, X, Y) -> np.ndarray:
-        return (X[:, None] != Y[None]).any(axis=2).astype(np.float64)
+        return (X[..., :, None, :] != Y[..., None, :, :]).any(axis=-1).astype(np.float64)
 
     def difference_indices(self, X, Y) -> np.ndarray:
         """Lexicographic index of X[a] - Y[b] for two stacks of elements,

@@ -275,11 +275,6 @@ class OrbitDecomposition:
     def block_sizes(self) -> tuple[int, int, int]:
         return (self.m, self.p, self.p)
 
-    def blocks(self) -> tuple[tuple, tuple, tuple]:
-        m, p = self.m, self.p
-        z = self.z_points
-        return (z[:m], z[m : m + p], z[m + p :])
-
 
 def orbit_decompose(phi: SymmetryMap, points) -> OrbitDecomposition:
     """Decompose {phi(x_i)} union {x_i} for an injective aperiodic map.

@@ -304,6 +304,36 @@ def test_stacked_orbit_oracle_matches_the_scalar_oracle():
         _assert_oracles_agree(phi, pts)
 
 
+def test_chunked_orbit_instances_and_oracles_match_the_scalar_references():
+    for seed in (1, 7, 42):
+        cfg = SuiteConfig("orbit-decomposition", seed=seed)
+        for chunk in (harness._ORBIT_CHUNK, 200):
+            for start in range(0, 200, chunk):
+                idxs = range(start, start + chunk)
+                instances = harness._orbit_instances(idxs, [harness._rng(cfg, 31, idx) for idx in idxs])
+                oracles = harness._orbit_oracles(instances)
+                for idx, (phi, pts), (F, tau, merged) in zip(idxs, instances, oracles):
+                    phi_ref, pts_ref = _scalar_harness_instance(idx, harness._rng(cfg, 31, idx))
+                    assert phi == phi_ref
+                    assert np.array_equal(pts, phi.space.stack(pts_ref))
+                    F_ref, tau_ref, merged_ref = _orbit_oracle(phi, list(pts))
+                    assert F == F_ref and tau == tau_ref
+                    assert np.array_equal(merged, phi.space.stack(merged_ref))
+
+
+def test_one_oracle_call_over_mixed_spaces_matches_the_one_instance_calls():
+    # The longer line instance pads the seam one, whose first point is the
+    # origin: a zero padding row must not count as a hit.
+    line = Euclidean(1)
+    longer = (EuclideanTranslation(line, (1.0,)), [[-3.0], [-2.5], [-1.0], [0.5], [2.0], [3.0]])
+    instances = list(_seam_and_tolerance_instances()) + [longer]
+    assert len({phi.space for phi, _ in instances}) == 3
+    for (phi, pts), (F, tau, merged) in zip(instances, harness._orbit_oracles(instances)):
+        F_one, tau_one, merged_one = harness._orbit_oracle(phi, pts)
+        assert F == F_one and tau == tau_one
+        assert np.array_equal(merged, merged_one)
+
+
 def test_seam_and_tolerance_instances_split_as_expected():
     expected = [({0: 1}, 3), ({}, 4), ({0: 1}, 5), ({0: 1}, 7), ({0: 1}, 7)]
     for (phi, pts), (tau, n_merged) in zip(_seam_and_tolerance_instances(), expected):

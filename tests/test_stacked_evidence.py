@@ -291,3 +291,16 @@ def test_paired_distances_are_the_diagonal_of_distances(space):
         got = space.paired_distances(X, Y)
         assert got.shape == (n,)
         np.testing.assert_array_equal(got, np.diagonal(space.distances(X, Y)))
+
+
+@pytest.mark.parametrize("space", [CIRCLE, E3, SPHERE, FiniteAbelian((3, 4))], ids=repr)
+def test_distances_over_stack_axes_are_the_per_slice_matrices(space):
+    # The (1, 1) slices are the form paired_distances takes.
+    rng = np.random.default_rng(11)
+    for T, a, b in [(1, 1, 1), (9, 1, 1), (5, 3, 10), (4, 10, 1), (2, 7, 7), (3, 0, 2)]:
+        X, Y = (space.stack(space.random_points(rng, T * k)) for k in (a, b))
+        X, Y = X.reshape((T, a) + X.shape[1:]), Y.reshape((T, b) + Y.shape[1:])
+        D = space.distances(X, Y)
+        assert D.shape == (T, a, b)
+        for t in range(T):
+            np.testing.assert_array_equal(D[t], space.distances(X[t], Y[t]))
