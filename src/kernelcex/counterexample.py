@@ -16,7 +16,7 @@ of phi (such as the origin of a scaling) can rejoin the space.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .errors import (
     WitnessFailed,
 )
 from .kernels import Composed, MatrixKernel, OffsetKernel, ScalarKernel, ZeroKernel, gram
-from .numcore import RESID_TOL, classify, quadratic_form
+from .numcore import PD_TOL, RESID_TOL, HermitianMatrix, PDVerdict, classify, quadratic_form
 from .symmetry import SymmetryMap
 
 
@@ -49,18 +49,27 @@ class CounterexampleKernel:
     origin: object | None = None
 
 
+def _flat(coefficients) -> np.ndarray:
+    return np.asarray(coefficients, dtype=np.complex128).T.ravel()
+
+
 @dataclass(frozen=True)
 class DegeneracyWitness:
-    """Points and coefficient vectors that annihilate the Gram form."""
+    """Points and coefficient vectors that annihilate the Gram form, with the
+    blocked Gram G at the points, its verdict, and ||G f|| / ||f|| for the
+    flattened coefficients f."""
 
     points: tuple
-    coefficients: tuple[tuple[complex, complex], ...]
+    coefficients: tuple[tuple[complex, ...], ...]
     achieved_form_value: float
+    gram: HermitianMatrix
+    verdict: PDVerdict
+    annihilation_residual: float
 
     def flattened(self) -> np.ndarray:
         """Coefficients in the coordinate-major layout used by ``gram``:
         entry i*n + mu holds coordinate i of the vector at point mu."""
-        return np.asarray(self.coefficients, dtype=np.complex128).T.ravel()
+        return _flat(self.coefficients)
 
 
 def _grid(base: ScalarKernel, phi: SymmetryMap) -> tuple[tuple[ScalarKernel, ...], ...]:
@@ -135,7 +144,9 @@ def embed(kernel: MatrixKernel, ell: int, filler: ScalarKernel) -> MatrixKernel:
     return MatrixKernel(space=kernel.space, ell=ell, entries=grid)
 
 
-def witness(cex: CounterexampleKernel, x, tol: float = RESID_TOL) -> DegeneracyWitness:
+def witness(
+    cex: CounterexampleKernel, x, tol: float = RESID_TOL, pd_tol: float = PD_TOL
+) -> DegeneracyWitness:
     """Analytic degeneracy witness at the point x.
 
     For the unitary and adjoint variants the witness pair is {x, phi(x)}
@@ -144,39 +155,39 @@ def witness(cex: CounterexampleKernel, x, tol: float = RESID_TOL) -> DegeneracyW
     When phi fixes x the single point x with coefficients (1, -1) already
     annihilates the all-equal 2x2 block. The shifted variant uses the
     triple {origin, x, phi(x)} with vectors (-1, 1), (1, 0), (0, -1).
+    On an embedded kernel (ell > 2) the vectors are padded with zeros.
 
     The analytically known direction is returned rather than an
     eigenvector, because null bases of degenerate matrices are not
-    unique; the eigensolver only cross-checks the form value.
+    unique; the Gram is built once and classified once, at pd_tol.
     """
     space = cex.as_matrix.space
     x = space.canonicalize(x)
-    phi = cex.map
+    fx = cex.map.apply(x)
     if cex.variant is Variant.SHIFTED_ADJOINT:
         if space.points_equal(x, cex.origin):
-            raise ValueError("the shifted witness needs a point distinct from the origin")
-        fx = phi.apply(x)
+            raise WitnessFailed("the shifted witness needs a point distinct from the origin")
         if space.points_equal(fx, x) or space.points_equal(fx, cex.origin):
-            raise ValueError("the map collapses the witness triple; choose another point")
+            raise WitnessFailed("the map collapses the witness triple; choose another point")
         points = (cex.origin, x, fx)
         coefficients = ((-1 + 0j, 1 + 0j), (1 + 0j, 0j), (0j, -1 + 0j))
+    elif space.points_equal(x, fx):
+        points = (x,)
+        coefficients = ((1 + 0j, -1 + 0j),)
     else:
-        fx = phi.apply(x)
-        if space.points_equal(x, fx):
-            points = (x,)
-            coefficients = ((1 + 0j, -1 + 0j),)
-        else:
-            points = (x, fx)
-            coefficients = ((1 + 0j, 0j), (0j, -1 + 0j))
+        points = (x, fx)
+        coefficients = ((1 + 0j, 0j), (0j, -1 + 0j))
+    padding = (0j,) * (cex.as_matrix.ell - 2)
+    coefficients = tuple(c + padding for c in coefficients)
 
-    w = DegeneracyWitness(points=points, coefficients=coefficients, achieved_form_value=0.0)
     matrix = gram(cex.as_matrix, points)
-    flat = w.flattened()
+    flat = _flat(coefficients)
     value = quadratic_form(matrix, flat)
-    verdict = classify(matrix)
+    verdict = classify(matrix, pd_tol)
     norm_sq = float(np.vdot(flat, flat).real)
+    residual = float(np.linalg.norm(matrix.entries @ flat)) / float(np.linalg.norm(flat))
     if abs(value) > tol * verdict.scale * norm_sq:
         raise WitnessFailed(
             f"witness form value {value:.3e} exceeds {tol:.1e} * scale {verdict.scale:.3e}"
         )
-    return replace(w, achieved_form_value=value)
+    return DegeneracyWitness(points, coefficients, value, matrix, verdict, residual)

@@ -403,33 +403,31 @@ def _rec(name: str, claim: str, passed: bool, **evidence) -> CheckRecord:
     return CheckRecord(name=name, claim=claim, passed=bool(passed), evidence=evidence)
 
 
-def _witness_record(cfg: SuiteConfig, cex, x, name="degeneracy-witness") -> CheckRecord:
-    claim = (
+def _witness_record(
+    cfg: SuiteConfig, cex, x, name="degeneracy-witness", claim=None, keys=None
+) -> CheckRecord:
+    """The witness at x as a record; ``keys`` selects the evidence reported."""
+    claim = claim or (
         "the blocked Gram at the witness points is positive semidefinite but "
         "degenerate, and the analytic coefficient direction spans its null space"
     )
     try:
-        w = witness(cex, x, tol=cfg.resid_tol)
+        w = witness(cex, x, tol=cfg.resid_tol, pd_tol=cfg.pd_tol)
     except KernelCexError as exc:
         return _rec(name, claim, False, error=str(exc))
-    matrix = gram(cex.as_matrix, w.points)
-    verdict = classify(matrix, cfg.pd_tol)
-    flat = w.flattened()
-    annih = float(np.linalg.norm(matrix.entries @ flat)) / float(np.linalg.norm(flat))
-    angle = _null_alignment_angle(verdict, flat)
+    verdict = w.verdict
     # witness() has already bounded the form value by resid_tol * scale * |flat|^2.
-    return _rec(
-        name,
-        claim,
-        verdict.is_degenerate and annih <= cfg.resid_tol * verdict.scale,
+    evidence = dict(
         min_eigenvalue=verdict.min_eigenvalue,
         scale=verdict.scale,
         numeric_rank=verdict.numeric_rank,
         form_value=w.achieved_form_value,
-        annihilation_residual=annih,
-        null_alignment_angle=angle,
+        annihilation_residual=w.annihilation_residual,
+        null_alignment_angle=_null_alignment_angle(verdict, w.flattened()),
         n_witness_points=len(w.points),
     )
+    passed = verdict.is_degenerate and w.annihilation_residual <= cfg.resid_tol * verdict.scale
+    return _rec(name, claim, passed, **{k: evidence[k] for k in keys or evidence})
 
 
 def _projection_strictness_record(
@@ -1034,16 +1032,6 @@ def _suite_embed(cfg: SuiteConfig) -> list[CheckRecord]:
 
     e3 = np.array([0.0, 0.0, 1.0], dtype=np.complex128)
     worst_filler = worst_diff(project(padded, e3), base)
-
-    x0 = 0.0
-    wpts = [x0, phi.apply(x0)]
-    matrix = gram(padded, wpts)
-    verdict = classify(matrix, cfg.pd_tol)
-    flat = np.zeros(6, dtype=np.complex128)
-    flat[0] = 1.0
-    flat[3] = -1.0
-    ann = float(np.linalg.norm(matrix.entries @ flat)) / math.sqrt(2.0)
-    degenerate = verdict.is_degenerate and ann <= cfg.resid_tol * verdict.scale
     return [
         _rec(
             "first-block-projections",
@@ -1059,13 +1047,13 @@ def _suite_embed(cfg: SuiteConfig) -> list[CheckRecord]:
             worst_filler <= 1e-12,
             max_pointwise_diff=worst_filler,
         ),
-        _rec(
-            "padded-witness-degeneracy",
-            "padding preserves the degeneracy at the witness pair",
-            degenerate,
-            min_eigenvalue=verdict.min_eigenvalue,
-            scale=verdict.scale,
-            annihilation_residual=ann,
+        _witness_record(
+            cfg,
+            dataclasses.replace(cex, as_matrix=padded),
+            0.0,
+            name="padded-witness-degeneracy",
+            claim="padding preserves the degeneracy at the witness pair",
+            keys=("min_eigenvalue", "scale", "annihilation_residual"),
         ),
     ]
 

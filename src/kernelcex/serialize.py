@@ -345,6 +345,9 @@ def counterexample_to_json(cex: CounterexampleKernel) -> dict:
     }
     if cex.origin is not None:
         out["origin"] = point_to_json(cex.as_matrix.space, cex.origin)
+    if cex.as_matrix.ell > 2:
+        out["ell"] = cex.as_matrix.ell
+        out["filler"] = scalar_kernel_to_json(cex.as_matrix.entries[2][2])
     return out
 
 
@@ -365,10 +368,7 @@ def counterexample_from_json(data: dict) -> CounterexampleKernel:
     ell = data.get("ell")
     if ell is not None and int(ell) != 2:
         filler = scalar_kernel_from_json(data["filler"]) if data.get("filler") else base
-        matrix = embed(cex.as_matrix, int(ell), filler)
-        return CounterexampleKernel(
-            base=cex.base, map=cex.map, variant=cex.variant, as_matrix=matrix, origin=cex.origin
-        )
+        return dataclasses.replace(cex, as_matrix=embed(cex.as_matrix, int(ell), filler))
     return cex
 
 

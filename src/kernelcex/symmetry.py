@@ -288,7 +288,7 @@ def orbit_decompose(phi: SymmetryMap, points) -> OrbitDecomposition:
     X = space.stack(points)
     n = len(X)
     if n == 0:
-        raise ValueError("points must be nonempty")
+        raise ConfigError("points: must be nonempty")
     images = phi.apply_many(X)
 
     shared = np.argwhere(np.triu(space.distances(images, images) <= space.eq_tol, 1))

@@ -127,6 +127,23 @@ def test_orbit_periodic_map_exits_2(tmp_path, capsys):
     assert main(["orbit", "--map", map_file, "--points", points_file]) == 2
 
 
+def test_orbit_empty_point_list_exits_2(tmp_path, capsys):
+    map_file = _write(
+        tmp_path,
+        "map.json",
+        {
+            "space": {"kind": "circle"},
+            "action_kind": "circle_rotation",
+            "parameters": {"angle": 1.0},
+        },
+    )
+    points_file = _write(tmp_path, "points.json", [])
+    assert main(["orbit", "--map", map_file, "--points", points_file]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error: points: must be nonempty\n"
+
+
 def test_fourier_analyze_and_synthesize_roundtrip(tmp_path, capsys):
     values_file = _write(tmp_path, "psi.json", [1.0, 0.0])
     assert main(["fourier", "analyze", "--group", "2", "--input", values_file]) == 0

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -11,7 +12,7 @@ from kernelcex.counterexample import (
     embed,
     witness,
 )
-from kernelcex.errors import BadDimensions, MissingAdjoint, OriginNotFixed
+from kernelcex.errors import BadDimensions, MissingAdjoint, OriginNotFixed, WitnessFailed
 from kernelcex.kernels import (
     CircleExpCos,
     DotExp,
@@ -20,7 +21,8 @@ from kernelcex.kernels import (
     gram,
     project,
 )
-from kernelcex.numcore import PDKind, classify, quadratic_form
+from kernelcex.numcore import RESID_TOL, PDKind, classify, quadratic_form
+from kernelcex.serialize import counterexample_from_json, counterexample_to_json
 from kernelcex.spaces import Circle, Euclidean, sample_distinct
 from kernelcex.symmetry import CircleRotation, EuclideanScaling, EuclideanTranslation
 
@@ -145,8 +147,30 @@ def test_witness_shifted_triple():
 
 def test_witness_rejects_origin_for_shifted():
     cex = build_shifted(DotExp(PLANE), EuclideanScaling(PLANE, 2.0), (0.0, 0.0))
-    with pytest.raises(ValueError):
+    with pytest.raises(WitnessFailed):
         witness(cex, np.zeros(2))
+
+
+def test_witness_rejects_a_collapsed_shifted_triple():
+    # A ratio-1 scaling fixes every point, so phi(x) = x.
+    cex = build_shifted(DotExp(PLANE), EuclideanScaling(PLANE, 1.0), (0.0, 0.0))
+    with pytest.raises(WitnessFailed):
+        witness(cex, np.array([1.0, 0.0]))
+
+
+def test_witness_carries_its_gram_and_verdict():
+    cex = build_unitary(CircleExpCos(CIRCLE), CircleRotation(CIRCLE, 1.0))
+    w = witness(cex, 0.0, pd_tol=1e-6)
+    g = gram(cex.as_matrix, w.points)
+    np.testing.assert_array_equal(w.gram.entries, g.entries)
+    verdict = classify(g, 1e-6)
+    assert w.verdict.kind is verdict.kind is PDKind.POSITIVE_SEMIDEFINITE_DEGENERATE
+    assert w.verdict.numeric_rank == verdict.numeric_rank
+    assert w.verdict.scale == verdict.scale
+    flat = w.flattened()
+    assert w.annihilation_residual == (
+        float(np.linalg.norm(g.entries @ flat)) / float(np.linalg.norm(flat))
+    )
 
 
 def test_blocked_gram_is_gram_of_merged_points():
@@ -235,3 +259,40 @@ def test_embedded_witness_still_degenerate():
     c[0] = 1.0
     c[3] = -1.0
     assert abs(quadratic_form(matrix, c)) < 1e-12
+
+
+EMBEDDABLE = {
+    "unitary pair": (
+        lambda: build_unitary(CircleExpCos(CIRCLE), CircleRotation(CIRCLE, 1.0)),
+        CircleExpCos(CIRCLE),
+        0.0,
+    ),
+    "fixed point": (
+        lambda: build_unitary(CircleExpCos(CIRCLE), CircleRotation(CIRCLE, 0.0)),
+        CircleExpCos(CIRCLE),
+        0.5,
+    ),
+    "shifted triple": (
+        lambda: build_shifted(DotExp(PLANE), EuclideanScaling(PLANE, 2.0), (0.0, 0.0)),
+        Gaussian(PLANE),
+        np.array([1.0, 0.0]),
+    ),
+}
+
+
+@pytest.mark.parametrize("decoded", [False, True], ids=["embed", "from-json"])
+@pytest.mark.parametrize("ell", [3, 4])
+@pytest.mark.parametrize("case", sorted(EMBEDDABLE))
+def test_witness_on_embedded_kernels(case, ell, decoded):
+    build, filler, x = EMBEDDABLE[case]
+    cex = build()
+    embedded = dataclasses.replace(cex, as_matrix=embed(cex.as_matrix, ell, filler))
+    if decoded:
+        embedded = counterexample_from_json(counterexample_to_json(embedded))
+    assert embedded.as_matrix.ell == ell
+    w = witness(embedded, x)
+    unpadded = witness(cex, x)
+    assert w.coefficients == tuple(c + (0j,) * (ell - 2) for c in unpadded.coefficients)
+    assert w.gram.dim == ell * len(w.points)
+    assert w.verdict.kind is PDKind.POSITIVE_SEMIDEFINITE_DEGENERATE
+    assert w.annihilation_residual <= RESID_TOL * w.verdict.scale

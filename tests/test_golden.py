@@ -64,6 +64,8 @@ def test_report_matches_golden(suite):
 # and dotproduct ones before the sampler became one stacked pass. The
 # complex-sphere ones were written after its scalar operations became
 # one-row views of the stacked ones, which moved some floats by an ulp.
+# The embed-check and negative-controls ones were written before the
+# degeneracy witness carried its own Gram and verdict.
 SEED_GOLDENS = sorted(p.stem for p in (GOLDEN_DIR / "seeds").glob("*.json"))
 
 
@@ -77,6 +79,8 @@ def test_seed_goldens_cover_the_orbit_and_abelian_suites():
         "gaussian-example1",
         "dotproduct-example1",
         "complex-sphere",
+        "embed-check",
+        "negative-controls",
     }
 
 

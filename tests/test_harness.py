@@ -1,8 +1,15 @@
+import collections
 import json
 
+import numpy as np
 import pytest
 
+from kernelcex import counterexample, harness
+from kernelcex.counterexample import build_shifted, build_unitary
 from kernelcex.errors import ConfigError
+from kernelcex.kernels import CircleExpCos, DotExp
+from kernelcex.spaces import Circle, Euclidean
+from kernelcex.symmetry import CircleRotation, EuclideanScaling
 from kernelcex.harness import (
     SuiteConfig,
     SuiteReport,
@@ -121,3 +128,46 @@ def test_heavy_suites_pass_with_reduced_trials(suite):
     config = SuiteConfig(suite=suite, trials=3, projection_trials=5, n_points=6, probes=16)
     report = run_suite(config)
     assert report.passed, emit_report(report, format="text")
+
+
+def _count_witness_work(monkeypatch) -> collections.Counter:
+    """Count the Gram builds, classifications and eigh calls made from here on."""
+    calls = collections.Counter()
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    for module in (counterexample, harness):
+        monkeypatch.setattr(module, "gram", counting("gram", module.gram))
+        monkeypatch.setattr(module, "classify", counting("classify", module.classify))
+    monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
+    return calls
+
+
+def test_a_witness_record_builds_one_gram_and_runs_one_eigh(monkeypatch):
+    cex = build_unitary(CircleExpCos(Circle()), CircleRotation(Circle(), 1.0))
+    calls = _count_witness_work(monkeypatch)
+    record = harness._witness_record(SuiteConfig("circle-example1"), cex, 0.0)
+    assert record.passed
+    assert calls == {"gram": 1, "classify": 1, "eigh": 1}
+
+
+def test_the_padded_witness_record_builds_one_gram_and_runs_one_eigh(monkeypatch):
+    calls = _count_witness_work(monkeypatch)
+    records = harness._suite_embed(SuiteConfig("embed-check"))
+    assert [r.name for r in records][-1] == "padded-witness-degeneracy"
+    assert records[-1].passed
+    assert set(records[-1].evidence) == {"min_eigenvalue", "scale", "annihilation_residual"}
+    assert calls == {"gram": 1, "classify": 1, "eigh": 1}
+
+
+def test_a_witness_at_the_shifted_origin_is_a_failed_record():
+    plane = Euclidean(2)
+    cex = build_shifted(DotExp(plane), EuclideanScaling(plane, 2.0), np.zeros(2))
+    record = harness._witness_record(SuiteConfig("dotproduct-example1"), cex, np.zeros(2))
+    assert not record.passed
+    assert "distinct from the origin" in record.evidence["error"]

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kernelcex.counterexample import build_shifted, build_unitary
+from kernelcex.counterexample import build_shifted, build_unitary, embed
 from kernelcex.errors import ConfigError
 from kernelcex.fourier import FourierSpectrum
 from kernelcex import serialize
@@ -282,6 +282,20 @@ def test_counterexample_config_with_embedding():
     assert padded.ell == 3
     # default filler is the base kernel
     assert padded.entries[2][2] == CircleExpCos(Circle())
+
+
+@pytest.mark.parametrize("ell", [3, 4])
+def test_counterexample_roundtrip_keeps_the_embedding(ell):
+    plane = Euclidean(2)
+    cex = build_unitary(Gaussian(plane), EuclideanTranslation(plane, (1.0, 0.0)))
+    filler = Gaussian(plane, sigma=0.5)
+    embedded = dataclasses.replace(cex, as_matrix=embed(cex.as_matrix, ell, filler))
+    config = json.loads(dumps(counterexample_to_json(embedded)))
+    assert config["ell"] == ell
+    assert config["filler"] == scalar_kernel_to_json(filler)
+    rebuilt = counterexample_from_json(config)
+    assert rebuilt.as_matrix == embedded.as_matrix
+    assert counterexample_to_json(rebuilt) == config
 
 
 def test_kernel_from_json_dispatch():
