@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,15 +49,8 @@ from .kernels import (
     project,
 )
 from .numcore import PDKind, classify, classify_many
-from .serialize import SCHEMA_VERSION, dumps
-from .spaces import (
-    Circle,
-    ComplexSphere,
-    Euclidean,
-    FiniteAbelian,
-    Space,
-    sample_distinct,
-)
+from .serialize import SCHEMA_VERSION, _field, _field_types, dumps
+from .spaces import Circle, ComplexSphere, Euclidean, FiniteAbelian, Space
 from .symmetry import (
     CircleRotation,
     ComplexSphereRotation,
@@ -105,56 +97,34 @@ class SuiteConfig:
         unknown = set(data) - known - {"schema_version"}
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        kwargs = {k: v for k, v in data.items() if k in known}
-        if "group" in kwargs and kwargs["group"] is not None:
-            group = kwargs["group"]
-            if not isinstance(group, (list, tuple)) or not all(_is_int(q) for q in group):
-                raise ConfigError(f"group: must be a list of integers, got {group!r}")
-            kwargs["group"] = tuple(group)
-        cfg = cls(**kwargs)
+        cfg = cls(**{k: v for k, v in data.items() if k in known})
         cfg.validate()
         return cfg
 
     def validate(self) -> None:
+        """Decode every field but ``suite`` in place by serialize's field rule
+        (so ``"trials": 2.0`` is 2), then check the ranges."""
         if not isinstance(self.suite, str) or self.suite not in SUITES:
             raise ConfigError(f"suite: unknown suite {self.suite!r}; see list-suites")
-        if not _is_int(self.seed):
-            raise ConfigError("seed: must be an integer")
+        types = _field_types(SuiteConfig)
+        for f in dataclasses.fields(self)[1:]:
+            setattr(self, f.name, _field(f.name, types[f.name], getattr(self, f.name)))
         if self.seed < 0:
             raise ConfigError(f"seed: must be nonnegative, got {self.seed}")
         for name in ("n_points", "trials", "projection_trials", "m_max", "probes",
                      "orbit_instances", "spectra"):
-            value = getattr(self, name)
-            if not _is_int(value):
-                raise ConfigError(f"{name}: must be an integer, got {value!r}")
-            if value < 1:
+            if getattr(self, name) < 1:
                 raise ConfigError(f"{name}: must be at least 1")
         for name in ("pd_tol", "resid_tol", "strict_tol", "min_sep", "radius"):
             value = getattr(self, name)
-            if value is None and name in ("min_sep", "radius"):
-                continue
-            if not _is_real(value):
-                raise ConfigError(f"{name}: must be a finite number, got {value!r}")
-            if value <= 0:
+            if value is not None and value <= 0:
                 raise ConfigError(f"{name}: must be positive")
         if self.group is not None:
-            if not self.group:
-                raise ConfigError("group: must list at least one cyclic order")
+            # A lone number passes the tuple rule; a suite needs a list.
+            if not isinstance(self.group, tuple) or not self.group:
+                raise ConfigError(f"group: must list at least one cyclic order, got {self.group!r}")
             if any(q < 2 for q in self.group):
                 raise ConfigError("group: every cyclic order must be at least 2")
-            if math.prod(self.group) < self.n_points and self.suite.startswith("abelian"):
-                raise ConfigError(
-                    f"n_points: {self.n_points} exceeds the group order {math.prod(self.group)}"
-                )
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    # Exact comparison: false for NaN, infinities and ints beyond the float range.
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
 
 
 @dataclass
@@ -231,7 +201,8 @@ def _draw_many(space: Space, rng: np.random.Generator, radius: float | None, k: 
 
 
 # A sampled point set is accepted only when the base-kernel Gram over the
-# merged set (points plus images) keeps this relative minimum eigenvalue.
+# merged set (points plus images) is positive definite by numcore's verdict
+# rule at this relative tolerance.
 # Every projection Gram is B* G B with B*B = ||v||^2 I whenever no image
 # collides with a point, so its relative minimum eigenvalue can only be
 # better; the floor therefore guarantees positive definite verdicts at
@@ -348,8 +319,8 @@ def _sample_merged(
             placed = [p[:1] for p in pts]
             if cond_kernel is not None:
                 merged = np.concatenate([include, *placed, include_images, *(p[1:] for p in pts)])
-                eigvals = np.linalg.eigvalsh(gram(cond_kernel, merged).symmetrized())
-                if eigvals[0] < _CONDITIONING_FLOOR * eigvals[-1]:
+                verdict = classify_many(gram(cond_kernel, merged).entries[None], _CONDITIONING_FLOOR)
+                if verdict.kinds[0] is not PDKind.POSITIVE_DEFINITE:
                     continue
             return space.unstack(np.concatenate([include, *placed]))
     finally:
@@ -1075,7 +1046,7 @@ def _suite_negative_controls(cfg: SuiteConfig) -> list[CheckRecord]:
     collapse = EuclideanScaling(espace, 0.0)
     cex_collapse = build_unitary(Gaussian(espace), collapse)
     rng = _rng(cfg, 61)
-    pts2 = sample_distinct(espace, 4, min_sep=0.3, seed=rng)
+    pts2 = _sample_merged(espace, None, 4, 0.3, rng)
     proj2 = project(cex_collapse.as_matrix, np.array([1.0, 0.0]))
     verdict_collapse = classify(gram(proj2, pts2), cfg.pd_tol)
     injective = check_injective_on(collapse, pts2)

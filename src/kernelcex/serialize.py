@@ -12,6 +12,12 @@ holds a tag (``kind``, ``form`` or ``action_kind``) and the dataclass fields
 (a map's but space and adjoint under ``parameters``). A field without a
 default is required, and a value is decoded by its field's declared type.
 
+One field rule (``_field``) reads every number: in these documents, in
+spectra, in point lists and in suite configs. A bool or a string is never a
+number, an int field takes an integral float (``2.0`` is 2), and a float
+field only a finite number. A refusal is a ``ConfigError`` that names the
+field as the document spells it.
+
 ``dumps`` writes every document kernelcex emits.
 """
 
@@ -220,11 +226,19 @@ def point_to_json(space: Space, point):
     return _to_json(space.canonicalize(point))
 
 
+# The name and the declared type of a point of each space. A bare integer
+# passes as a lone number: an element of a one-factor group.
+_POINT_FIELDS = {
+    Circle: ("circle angle", float),
+    Euclidean: ("coordinates", tuple[float, ...]),
+    ComplexSphere: ("coordinates", tuple[complex, ...]),
+    FiniteAbelian: ("group element", tuple[int, ...]),
+}
+
+
 @_decoder
 def point_from_json(space: Space, data):
-    if isinstance(space, ComplexSphere):
-        return space.canonicalize([complex_from_json(c) for c in data])
-    return space.canonicalize(data)
+    return space.canonicalize(_field(*_POINT_FIELDS[type(space)], data))
 
 
 def map_to_json(phi: SymmetryMap) -> dict:
@@ -287,23 +301,31 @@ def _from_fields(cls, doc: dict, **given):
         if f.name in given:
             continue
         if f.name in doc:
-            given[f.name] = _decode(types[f.name], doc[f.name])
+            given[f.name] = _field(f.name, types[f.name], doc[f.name])
         elif f.default is dataclasses.MISSING:
             raise KeyError(f.name)
     return cls(**given)
+
+
+def _field(name: str, tp, value):
+    """The field rule: ``value`` decoded by its field's declared type ``tp``.
+    A value the rule refuses is a ``ConfigError`` that names the field, after
+    the fields it is nested in (``space: dim: ...``)."""
+    try:
+        return _decode(tp, value)
+    except (ConfigError, TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
 
 
 def _decode(tp, value):
     """A field value decoded by the field's declared type ``tp``."""
     args = typing.get_args(tp)
     if typing.get_origin(tp) is tuple:
-        if args[0] not in (float, int):
-            return tuple(_decode(args[0], v) for v in value)
-        # A tuple of real numbers goes as is, once each entry (or a lone
-        # number) is checked; its class's constructor converts it.
-        for v in value if isinstance(value, (list, tuple)) else (value,):
-            _number(args[0], v)
-        return value
+        # A list is decoded entry by entry. A lone real number is left to
+        # the class's constructor, which takes it where it means a 1-tuple.
+        if args[0] in (float, int) and not isinstance(value, (list, tuple)):
+            return _number(args[0], value)
+        return tuple(_decode(args[0], v) for v in value)
     if type(None) in args:
         # ``T | None``: only null is None.
         return None if value is None else _decode(args[0], value)
@@ -314,12 +336,15 @@ def _decode(tp, value):
 
 
 def _number(tp, value):
-    """``value`` as a ``tp`` (float or int). A bool or a string is a
-    ``TypeError``, and for an int field so is a number that is not integral."""
+    """``value`` as a ``tp`` (float or int). A bool, a string, NaN, an
+    infinity, a non-integral number for an int field and an int beyond the
+    float range for a float field raise."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(f"expected a number, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {value!r}")
     if tp is int and isinstance(value, float) and not value.is_integer():
-        raise TypeError(f"expected an integer, got {value!r}")
+        raise TypeError(f"expected an integer, got non-integral {value!r}")
     return tp(value)
 
 
@@ -365,10 +390,10 @@ def counterexample_from_json(data: dict) -> CounterexampleKernel:
         cex = build_shifted(base, phi, origin)
     else:
         raise ConfigError(f"unknown counterexample variant {variant!r}")
-    ell = data.get("ell")
-    if ell is not None and int(ell) != 2:
+    ell = _field("ell", int | None, data.get("ell"))
+    if ell is not None and ell != 2:
         filler = scalar_kernel_from_json(data["filler"]) if data.get("filler") else base
-        return dataclasses.replace(cex, as_matrix=embed(cex.as_matrix, int(ell), filler))
+        return dataclasses.replace(cex, as_matrix=embed(cex.as_matrix, ell, filler))
     return cex
 
 
@@ -399,16 +424,16 @@ def spectrum_to_json(spectrum: FourierSpectrum) -> dict:
 
 @_decoder
 def spectrum_from_json(data: dict) -> FourierSpectrum:
-    group = FiniteAbelian(orders=tuple(int(q) for q in data["group"]))
+    group = FiniteAbelian(orders=_field("group", tuple[int, ...], data["group"]))
     raw = data["coefficients"]
     if raw and isinstance(raw[0], list):
         coeffs = np.stack([matrix_from_json(a) for a in raw])
     else:
-        coeffs = np.asarray([float(c) for c in raw])
+        coeffs = np.asarray([_field("coefficients", float, c) for c in raw])
     return FourierSpectrum(
         group=group,
         coefficients=coeffs,
-        analysis_residual=float(data.get("analysis_residual", 0.0)),
+        analysis_residual=_field("analysis_residual", float, data.get("analysis_residual", 0.0)),
     )
 
 

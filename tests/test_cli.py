@@ -249,7 +249,7 @@ def test_gram_kernel_with_string_sigma_exits_2(tmp_path, capsys):
     config = {"form": "gaussian", "space": {"kind": "euclidean", "dim": 2}, "sigma": "x"}
     kernel = _write(tmp_path, "k.json", config)
     points = _write(tmp_path, "p.json", [[0.0, 0.0], [1.0, 0.0]])
-    _exits_2(capsys, ["gram", "--kernel", kernel, "--points", points], "scalar_kernel_from_json")
+    _exits_2(capsys, ["gram", "--kernel", kernel, "--points", points], "sigma: expected a number")
 
 
 def test_gram_map_with_string_angle_exits_2(tmp_path, capsys):
@@ -257,7 +257,7 @@ def test_gram_map_with_string_angle_exits_2(tmp_path, capsys):
     config["map"]["parameters"]["angle"] = "a"
     kernel = _write(tmp_path, "k.json", config)
     points = _write(tmp_path, "p.json", [0.0, 2.0])
-    _exits_2(capsys, ["gram", "--kernel", kernel, "--points", points], "map_from_json")
+    _exits_2(capsys, ["gram", "--kernel", kernel, "--points", points], "angle: expected a number")
 
 
 def test_orbit_map_without_parameters_exits_2(tmp_path, capsys):
@@ -340,14 +340,14 @@ def test_gram_with_a_huge_point_coordinate_exits_2(tmp_path, capsys):
 def test_gram_with_a_huge_sigma_exits_2(tmp_path, capsys):
     kernel = _write(tmp_path, "k.json", {**PLANE_GAUSSIAN, "sigma": HUGE})
     points = _write(tmp_path, "p.json", [[0.0, 0.0], [1.0, 0.0]])
-    _exits_2(capsys, ["gram", "--kernel", kernel, "--points", points], "scalar_kernel_from_json")
+    _exits_2(capsys, ["gram", "--kernel", kernel, "--points", points], "sigma: int too large")
 
 
 def test_orbit_with_a_huge_angle_exits_2(tmp_path, capsys):
     config = {"space": {"kind": "circle"}, "action_kind": "circle_rotation", "parameters": {"angle": HUGE}}
     phi = _write(tmp_path, "m.json", config)
     points = _write(tmp_path, "p.json", [0.0, 2.0])
-    _exits_2(capsys, ["orbit", "--map", phi, "--points", points], "map_from_json")
+    _exits_2(capsys, ["orbit", "--map", phi, "--points", points], "angle: int too large")
 
 
 def test_verify_config_with_a_huge_min_sep_exits_2(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import json
 
 import numpy as np
@@ -60,9 +61,13 @@ def test_negative_seed_rejected():
     SuiteConfig.from_dict({"suite": "negative-controls", "seed": 0})
 
 
-def test_too_many_points_for_group_rejected():
-    with pytest.raises(ConfigError):
-        SuiteConfig(suite="abelian-roundtrip", group=(2, 3), n_points=7).validate()
+def test_abelian_suite_ignores_n_points_beyond_the_group_order():
+    # No abelian suite reads n_points, so it is not checked against the group order.
+    config = SuiteConfig.from_dict({"suite": "abelian-roundtrip", "group": [2, 3]})
+    assert config.n_points > 6
+    report = run_suite(config)
+    assert report.passed
+    assert report.records == run_suite(dataclasses.replace(config, n_points=1)).records
 
 
 def test_run_suite_records_carry_claims():

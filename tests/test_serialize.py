@@ -202,12 +202,17 @@ def test_map_without_adjoint_roundtrips():
         {"kind": "euclidean", "dim": 2, "eq_tol": False},
         {"kind": "finite_abelian", "orders": [2.5, 3]},
         {"kind": "finite_abelian", "orders": ["3"]},
+        {"kind": "euclidean", "dim": math.nan},
+        {"kind": "euclidean", "dim": 2, "eq_tol": math.inf},
+        {"kind": "euclidean", "dim": 2, "eq_tol": 10**400},
     ],
     ids=["int-non-integral", "int-string", "int-bool", "float-string", "float-bool",
-         "int-entry-non-integral", "int-entry-string"],
+         "int-entry-non-integral", "int-entry-string", "int-nan", "float-infinity", "float-huge"],
 )
 def test_numeric_fields_reject_strings_bools_and_fractions(doc):
-    with pytest.raises(ConfigError):
+    # The error names the field as the document spells it.
+    field = "orders" if "orders" in doc else "eq_tol" if "eq_tol" in doc else "dim"
+    with pytest.raises(ConfigError, match=f"^{field}: "):
         space_from_json(doc)
 
 
@@ -341,7 +346,7 @@ def test_map_without_adjoint_key_decodes_to_no_adjoint():
     ],
 )
 def test_malformed_map_raises_config_error(data):
-    with pytest.raises(ConfigError, match="map_from_json|action kind"):
+    with pytest.raises(ConfigError, match="map_from_json|action kind|angle: expected a number"):
         map_from_json(data)
 
 
@@ -356,7 +361,8 @@ def test_malformed_map_raises_config_error(data):
     ],
 )
 def test_decoders_report_malformed_documents_as_config_errors(decode, data):
-    with pytest.raises(ConfigError, match=r"_from_json: malformed input"):
+    # A refused field value names the field instead of the decoder.
+    with pytest.raises(ConfigError, match=r"_from_json: malformed input|^sigma: expected a number"):
         decode(data)
 
 
