@@ -28,7 +28,7 @@ from .serialize import (
     spectrum_from_json,
     spectrum_to_json,
 )
-from .spaces import FiniteAbelian
+from .spaces import FiniteAbelian, cyclic_orders
 from .symmetry import orbit_decompose
 
 
@@ -93,15 +93,8 @@ def _cmd_orbit(args) -> int:
     return 0
 
 
-def _parse_group(text: str) -> FiniteAbelian:
-    try:
-        return FiniteAbelian(tuple(int(q) for q in text.split(",")))
-    except ValueError as exc:
-        raise ConfigError(f"group: expected comma-separated integers of at least 2, got {text!r}") from exc
-
-
 def _cmd_fourier(args) -> int:
-    group = _parse_group(args.group)
+    group = FiniteAbelian(cyclic_orders(args.group.split(","), "group"))
     data = _load_json(args.input)
     if not isinstance(data, (list, dict)):
         raise ConfigError(f"{args.input}: expected a JSON list or object")

@@ -24,7 +24,6 @@ from .errors import (
     BadDimensions,
     MissingAdjoint,
     OriginNotFixed,
-    SpaceMismatch,
     WitnessFailed,
 )
 from .kernels import Composed, MatrixKernel, OffsetKernel, ScalarKernel, ZeroKernel, gram
@@ -73,8 +72,6 @@ class DegeneracyWitness:
 
 
 def _grid(base: ScalarKernel, phi: SymmetryMap) -> tuple[tuple[ScalarKernel, ...], ...]:
-    if phi.space != base.space:
-        raise SpaceMismatch("map and kernel must share a space")
     return (
         (Composed(base, phi, phi), Composed(base, phi, None)),
         (Composed(base, None, phi), base),
@@ -124,13 +121,12 @@ def embed(kernel: MatrixKernel, ell: int, filler: ScalarKernel) -> MatrixKernel:
     block and the filler kernel on the remaining diagonal entries.
 
     The filler must be strictly positive definite on the space for the
-    padded kernel to inherit the projection properties of the original.
+    padded kernel to inherit the projection properties of the original;
+    ``MatrixKernel`` refuses a filler on another space.
     """
     m = kernel.ell
     if not 2 <= m <= ell:
         raise BadDimensions(f"cannot embed an ell={m} kernel into ell={ell}")
-    if filler.space != kernel.space:
-        raise SpaceMismatch("filler must live on the kernel's space")
     zero = ZeroKernel(kernel.space)
     grid = tuple(
         tuple(

@@ -49,8 +49,8 @@ from .kernels import (
     project,
 )
 from .numcore import PDKind, classify, classify_many
-from .serialize import SCHEMA_VERSION, _field, _field_types, dumps
-from .spaces import Circle, ComplexSphere, Euclidean, FiniteAbelian, Space
+from .serialize import SCHEMA_VERSION, _field, dumps
+from .spaces import Circle, ComplexSphere, Euclidean, FiniteAbelian, Space, cyclic_orders, field_types
 from .symmetry import (
     CircleRotation,
     ComplexSphereRotation,
@@ -106,7 +106,7 @@ class SuiteConfig:
         (so ``"trials": 2.0`` is 2), then check the ranges."""
         if not isinstance(self.suite, str) or self.suite not in SUITES:
             raise ConfigError(f"suite: unknown suite {self.suite!r}; see list-suites")
-        types = _field_types(SuiteConfig)
+        types = field_types(SuiteConfig)
         for f in dataclasses.fields(self)[1:]:
             setattr(self, f.name, _field(f.name, types[f.name], getattr(self, f.name)))
         if self.seed < 0:
@@ -120,11 +120,7 @@ class SuiteConfig:
             if value is not None and value <= 0:
                 raise ConfigError(f"{name}: must be positive")
         if self.group is not None:
-            # A lone number passes the tuple rule; a suite needs a list.
-            if not isinstance(self.group, tuple) or not self.group:
-                raise ConfigError(f"group: must list at least one cyclic order, got {self.group!r}")
-            if any(q < 2 for q in self.group):
-                raise ConfigError("group: every cyclic order must be at least 2")
+            self.group = cyclic_orders(self.group, "group")
 
 
 @dataclass
@@ -404,7 +400,6 @@ def _witness_record(
 def _projection_strictness_record(
     cfg: SuiteConfig,
     cex,
-    phi: SymmetryMap | None,
     min_sep: float,
     name="projection-strictness",
     include=(),
@@ -421,7 +416,7 @@ def _projection_strictness_record(
     for t in range(cfg.trials):
         pts = _sample_merged(
             cex.as_matrix.space,
-            phi,
+            cex.map,
             cfg.n_points - len(list(include)),
             min_sep,
             _rng(cfg, 11, t),
@@ -521,7 +516,7 @@ def _unitary_example_records(
     records.append(_witness_record(cfg, cex, witness_x))
     structure_pts = _sample_merged(space, cex.map, 4, min_sep, _rng(cfg, 3), radius=cfg.radius)
     records.append(_proof_structure_record(cfg, cex, structure_pts))
-    records.append(_projection_strictness_record(cfg, cex, cex.map, min_sep))
+    records.append(_projection_strictness_record(cfg, cex, min_sep))
     return records
 
 
@@ -632,7 +627,6 @@ def _suite_dotproduct(cfg: SuiteConfig) -> list[CheckRecord]:
         _projection_strictness_record(
             cfg,
             shifted,
-            phi,
             min_sep,
             name="projection-strictness-with-origin",
             include=(origin,),
@@ -992,17 +986,19 @@ def _suite_embed(cfg: SuiteConfig) -> list[CheckRecord]:
     X = space.stack([x for x, _ in pairs])
     Y = space.stack([y for _, y in pairs])
 
-    def worst_diff(k1, k2) -> float:
-        return float(np.max(np.abs(pair_values(k1, X, Y) - pair_values(k2, X, Y))))
-
-    worst_match = 0.0
-    for _ in range(30):
-        v2 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        v3 = np.concatenate([v2, [0.0]])
-        worst_match = max(worst_match, worst_diff(project(cex.as_matrix, v2), project(padded, v3)))
+    # 30 vectors, each drawn as its real parts, then its imaginary parts. A
+    # projection's values are a contraction of the kernel's pair values.
+    parts = rng.standard_normal((30, 2, 2))
+    v2 = parts[:, 0] + 1j * parts[:, 1]
+    v3 = np.pad(v2, ((0, 0), (0, 1)))
+    padded_values = pair_values(padded, X, Y)
+    match = np.einsum("vi,pij,vj->vp", v2.conj(), pair_values(cex.as_matrix, X, Y), v2)
+    match_padded = np.einsum("vi,pij,vj->vp", v3.conj(), padded_values, v3)
+    worst_match = float(np.max(np.abs(match - match_padded)))
 
     e3 = np.array([0.0, 0.0, 1.0], dtype=np.complex128)
-    worst_filler = worst_diff(project(padded, e3), base)
+    filler = np.einsum("i,pij,j->p", e3.conj(), padded_values, e3)
+    worst_filler = float(np.max(np.abs(filler - pair_values(base, X, Y)[:, 0, 0])))
     return [
         _rec(
             "first-block-projections",

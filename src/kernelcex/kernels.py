@@ -16,7 +16,9 @@ K_v is the sesquilinear combination sum_ij conj(v_i) v_j of entry blocks.
 Pointwise ``eval`` is ``block`` on one-point stacks, and ``gram`` is
 ``block`` of a stack with itself after one distinctness check.
 Non-finite kernel values (an overflowing exponential, say) raise
-``NonFiniteValue``.
+``NonFiniteValue``. The declared type of a kernel's ``space`` field (a union
+where it acts on several) is the rule for where it acts; ``check_space``
+enforces it when the kernel is built.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .errors import (
     ZeroVector,
 )
 from .numcore import RESID_TOL, HermitianMatrix
-from .spaces import Circle, ComplexSphere, Euclidean, FiniteAbelian, Space, paired_diagonal
+from .spaces import Circle, ComplexSphere, Euclidean, FiniteAbelian, Space, check_space, paired_diagonal
 from .symmetry import SymmetryMap
 
 
@@ -50,6 +52,9 @@ class ScalarKernel:
     """Base class for evaluable Hermitian scalar kernels."""
 
     space: Space
+
+    def __post_init__(self):
+        check_space(self)
 
     def block(self, X, Y) -> np.ndarray:
         """Kernel values k(X[a], Y[b]) for two stacks of canonical points."""
@@ -78,6 +83,7 @@ class Gaussian(ScalarKernel):
     sigma: float = 1.0
 
     def __post_init__(self):
+        super().__post_init__()
         try:
             valid = math.isfinite(self.sigma) and self.sigma > 0
         except TypeError:
@@ -101,13 +107,9 @@ class DotExp(ScalarKernel):
     invariant under multiplication of both arguments by a unit scalar.
     """
 
-    space: Space
+    space: Euclidean | ComplexSphere
     scale: float = 1.0
     shift: float = 0.0
-
-    def __post_init__(self):
-        if not isinstance(self.space, (Euclidean, ComplexSphere)):
-            raise SpaceMismatch("DotExp needs an inner-product space")
 
     def block(self, X, Y) -> np.ndarray:
         inner = (X @ Y.conj().T).real
@@ -124,11 +126,7 @@ class TorusProduct(ScalarKernel):
     coordinate difference, so Circle and Euclidean points both work.
     """
 
-    space: Space
-
-    def __post_init__(self):
-        if not isinstance(self.space, (Circle, Euclidean)):
-            raise SpaceMismatch("TorusProduct needs angle-like coordinates")
+    space: Circle | Euclidean
 
     def block(self, X, Y) -> np.ndarray:
         X = X.reshape(len(X), -1)
@@ -151,6 +149,7 @@ class GroupFourier(ScalarKernel):
     coefficients: tuple[complex, ...]
 
     def __post_init__(self):
+        super().__post_init__()
         # One conversion of the whole column; the field stays a tuple.
         coeffs = np.asarray(self.coefficients, dtype=np.complex128)
         if coeffs.shape != (self.space.order,):
@@ -175,6 +174,7 @@ class Composed(ScalarKernel):
     right: SymmetryMap | None = None
 
     def __post_init__(self):
+        super().__post_init__()
         for m in (self.left, self.right):
             if m is not None and m.space != self.base.space:
                 raise SpaceMismatch("pre-composition maps must act on the kernel's space")
@@ -222,7 +222,7 @@ class MatrixKernel:
 
     def __post_init__(self):
         if self.ell < 1:
-            raise ValueError("ell must be at least 1")
+            raise ConfigError(f"ell: must be at least 1, got {self.ell!r}")
         grid = tuple(tuple(row) for row in self.entries)
         if len(grid) != self.ell or any(len(row) != self.ell for row in grid):
             raise DimensionMismatch("entries must form an ell x ell grid")
@@ -259,6 +259,7 @@ class ProjectedKernel(ScalarKernel):
     v: tuple[complex, ...]
 
     def __post_init__(self):
+        super().__post_init__()
         vec = np.asarray(self.v, dtype=np.complex128)
         vec.setflags(write=False)
         object.__setattr__(self, "_vec", vec)

@@ -10,7 +10,8 @@ bare exception.
 One rule codes spaces, scalar kernels, maps and matrix kernels: a document
 holds a tag (``kind``, ``form`` or ``action_kind``) and the dataclass fields
 (a map's but space and adjoint under ``parameters``). A field without a
-default is required, and a value is decoded by its field's declared type.
+default is required, and a value is decoded by its field's declared type (a
+union's by its first member's; the constructor checks that the space fits).
 
 One field rule (``_field``) reads every number: in these documents, in
 spectra, in point lists and in suite configs. A bool or a string is never a
@@ -53,7 +54,7 @@ from .kernels import (
     TorusProduct,
     ZeroKernel,
 )
-from .spaces import Circle, ComplexSphere, Euclidean, FiniteAbelian, Space
+from .spaces import Circle, ComplexSphere, Euclidean, FiniteAbelian, Space, cyclic_orders, field_types
 from .symmetry import (
     CircleRotation,
     ComplexSphereRotation,
@@ -92,7 +93,6 @@ _MAPS = {
         GroupTranslation,
     )
 }
-_field_types = functools.cache(typing.get_type_hints)
 
 
 def _float_str(x: float) -> str:
@@ -296,7 +296,7 @@ def _to_json(value):
 
 def _from_fields(cls, doc: dict, **given):
     """``cls`` from ``given`` and ``doc``; a missing required field is a ``KeyError``."""
-    types = _field_types(cls)
+    types = field_types(cls)
     for f in dataclasses.fields(cls):
         if f.name in given:
             continue
@@ -326,9 +326,10 @@ def _decode(tp, value):
         if args[0] in (float, int) and not isinstance(value, (list, tuple)):
             return _number(args[0], value)
         return tuple(_decode(args[0], v) for v in value)
-    if type(None) in args:
-        # ``T | None``: only null is None.
-        return None if value is None else _decode(args[0], value)
+    if args:
+        # A union: null is None where None is a member; any other value is
+        # read by the first member's codec, and the constructor checks the rest.
+        return None if value is None and type(None) in args else _decode(args[0], value)
     for base, _, decode in _CODECS:
         if issubclass(tp, base):
             return decode(value)
@@ -424,7 +425,7 @@ def spectrum_to_json(spectrum: FourierSpectrum) -> dict:
 
 @_decoder
 def spectrum_from_json(data: dict) -> FourierSpectrum:
-    group = FiniteAbelian(orders=_field("group", tuple[int, ...], data["group"]))
+    group = FiniteAbelian(cyclic_orders(_field("group", tuple[int, ...], data["group"]), "group"))
     raw = data["coefficients"]
     if raw and isinstance(raw[0], list):
         coeffs = np.stack([matrix_from_json(a) for a in raw])

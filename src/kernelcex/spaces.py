@@ -24,8 +24,9 @@ and ``distances`` do, so scalar and stacked results agree bit for bit.
 from __future__ import annotations
 
 import math
+import typing
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import product
 
 import numpy as np
@@ -44,6 +45,28 @@ MIN_SEP = 1e-3
 UNIT_NORM_TOL = 1e-12
 
 _TWO_PI = 2.0 * math.pi
+
+# The declared field types of a class, looked up once per class.
+field_types = cache(typing.get_type_hints)
+
+
+def check_space(obj) -> None:
+    """The space rule: ``obj.space`` is an instance of the declared type of its ``space`` field."""
+    allowed = field_types(type(obj))["space"]
+    if not isinstance(obj.space, allowed):
+        names = " | ".join(t.__name__ for t in typing.get_args(allowed) or (allowed,))
+        raise SpaceMismatch(f"{type(obj).__name__} acts on {names}, not on {obj.space!r}")
+
+
+def cyclic_orders(orders, name: str = "orders") -> tuple[int, ...]:
+    """``FiniteAbelian``'s rule: a nonempty list of orders of at least 2 (a refusal names ``name``)."""
+    try:
+        checked = tuple(int(q) for q in orders)
+    except (TypeError, ValueError):
+        checked = ()
+    if not checked or min(checked) < 2:
+        raise ConfigError(f"{name}: must list cyclic orders of at least 2, got {orders!r}")
+    return checked
 
 
 def _wrap_angle(a):
@@ -68,6 +91,8 @@ class Space:
     """Base class; concrete spaces are the dataclasses below."""
 
     def __post_init__(self):
+        if getattr(self, "dim", 1) < 1:
+            raise ConfigError(f"dim: must be at least 1, got {self.dim!r}")
         # A NaN, infinite or negative eq_tol makes every ``distance <= eq_tol`` false.
         if not 0.0 <= self.eq_tol < math.inf:
             raise ConfigError(f"eq_tol: must be a nonnegative finite number, got {self.eq_tol!r}")
@@ -169,11 +194,6 @@ class Euclidean(Space):
     dim: int
     eq_tol: float = EQ_TOL
 
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("Euclidean dimension must be at least 1")
-        super().__post_init__()
-
     # A scalar fast path: the conversion of ``stack``, the contraction of ``distances``.
     def canonicalize(self, x) -> np.ndarray:
         arr = _as_array(x, np.float64, "coordinates")
@@ -205,11 +225,6 @@ class ComplexSphere(Space):
     dim: int
     eq_tol: float = EQ_TOL
 
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("ComplexSphere dimension must be at least 1")
-        super().__post_init__()
-
     def stack(self, points) -> np.ndarray:
         arr = _stack_vectors(self, points, np.complex128)
         norms = np.sqrt(np.einsum("ak,ak->a", arr.conj(), arr).real)
@@ -238,10 +253,7 @@ class FiniteAbelian(Space):
     orders: tuple[int, ...]
 
     def __post_init__(self):
-        orders = tuple(int(q) for q in self.orders)
-        if not orders or any(q < 2 for q in orders):
-            raise ValueError("every cyclic factor must have order at least 2")
-        object.__setattr__(self, "orders", orders)
+        object.__setattr__(self, "orders", cyclic_orders(self.orders))
 
     @property
     def order(self) -> int:

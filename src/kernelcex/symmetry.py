@@ -4,6 +4,8 @@ Aperiodicity and center membership are universally quantified statements
 over infinite sets, so the checkers here gather finite evidence (probe
 points, a power bound) and report violations; they never claim proof.
 Map parameters are plain floats and tuples, so maps compare by value.
+The declared type of a map's ``space`` field is the rule for where it acts,
+and ``spaces.check_space`` enforces it when the map is built.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .errors import (
     PeriodicityDetected,
     SpaceMismatch,
 )
-from .spaces import Circle, ComplexSphere, Euclidean, FiniteAbelian, Space
+from .spaces import Circle, ComplexSphere, Euclidean, FiniteAbelian, Space, check_space
 
 
 _ADJOINT_KINDS = (None, "self", "inverse")
@@ -32,12 +34,22 @@ class SymmetryMap:
     ``adjoint_kind`` selects the involution partner used by adjoint
     invariance checks: ``"self"`` for self-adjoint actions, ``"inverse"``
     for actions whose partner is the inverse action, ``None`` when no
-    partner is declared. Each map checks its kind at construction.
+    partner is declared. ``__post_init__`` checks the space and the kind;
+    subclasses call it before they convert their parameters.
     """
 
     space: Space
 
     action_kind = "abstract"
+
+    def __post_init__(self):
+        check_space(self)
+        kind = getattr(self, "adjoint_kind", None)
+        if kind not in _ADJOINT_KINDS:
+            raise ConfigError(
+                f"adjoint_kind: {kind!r} is not one of {_ADJOINT_KINDS} "
+                f"(action kind {self.action_kind!r})"
+            )
 
     def apply(self, x):
         """The image of one point: the one-row view of ``apply_many``."""
@@ -51,14 +63,6 @@ class SymmetryMap:
     def _inverse(self) -> "SymmetryMap":
         raise NotImplementedError(f"{self.action_kind} has no inverse action")
 
-    def _check_adjoint_kind(self) -> None:
-        kind = getattr(self, "adjoint_kind", None)
-        if kind not in _ADJOINT_KINDS:
-            raise ConfigError(
-                f"adjoint_kind: {kind!r} is not one of {_ADJOINT_KINDS} "
-                f"(action kind {self.action_kind!r})"
-            )
-
     @property
     def adjoint(self) -> "SymmetryMap | None":
         kind = getattr(self, "adjoint_kind", None)
@@ -71,15 +75,14 @@ class SymmetryMap:
 
 @dataclass(frozen=True)
 class CircleRotation(SymmetryMap):
+    space: Circle
     angle: float
     adjoint_kind: str | None = "inverse"
 
     action_kind = "circle_rotation"
 
     def __post_init__(self):
-        self._check_adjoint_kind()
-        if not isinstance(self.space, Circle):
-            raise SpaceMismatch("CircleRotation acts on a Circle space")
+        super().__post_init__()
         object.__setattr__(self, "angle", float(self.angle))
 
     def apply_many(self, points) -> np.ndarray:
@@ -91,15 +94,14 @@ class CircleRotation(SymmetryMap):
 
 @dataclass(frozen=True)
 class EuclideanTranslation(SymmetryMap):
+    space: Euclidean
     offset: tuple[float, ...]
     adjoint_kind: str | None = None
 
     action_kind = "euclidean_translation"
 
     def __post_init__(self):
-        self._check_adjoint_kind()
-        if not isinstance(self.space, Euclidean):
-            raise SpaceMismatch("EuclideanTranslation acts on a Euclidean space")
+        super().__post_init__()
         offset = tuple(float(c) for c in np.atleast_1d(self.offset))
         if len(offset) != self.space.dim:
             raise SpaceMismatch("offset length must match the space dimension")
@@ -114,15 +116,14 @@ class EuclideanTranslation(SymmetryMap):
 
 @dataclass(frozen=True)
 class EuclideanScaling(SymmetryMap):
+    space: Euclidean
     ratio: float
     adjoint_kind: str | None = "self"
 
     action_kind = "euclidean_scaling"
 
     def __post_init__(self):
-        self._check_adjoint_kind()
-        if not isinstance(self.space, Euclidean):
-            raise SpaceMismatch("EuclideanScaling acts on a Euclidean space")
+        super().__post_init__()
         object.__setattr__(self, "ratio", float(self.ratio))
 
     def apply_many(self, points) -> np.ndarray:
@@ -138,15 +139,14 @@ class EuclideanScaling(SymmetryMap):
 class ComplexSphereRotation(SymmetryMap):
     """Multiplication by the unit scalar exp(i*angle), a unitary map."""
 
+    space: ComplexSphere
     angle: float
     adjoint_kind: str | None = "inverse"
 
     action_kind = "complex_sphere_rotation"
 
     def __post_init__(self):
-        self._check_adjoint_kind()
-        if not isinstance(self.space, ComplexSphere):
-            raise SpaceMismatch("ComplexSphereRotation acts on a ComplexSphere space")
+        super().__post_init__()
         object.__setattr__(self, "angle", float(self.angle))
 
     def apply_many(self, points) -> np.ndarray:
@@ -160,15 +160,14 @@ class ComplexSphereRotation(SymmetryMap):
 
 @dataclass(frozen=True)
 class GroupTranslation(SymmetryMap):
+    space: FiniteAbelian
     element: tuple[int, ...]
     adjoint_kind: str | None = "inverse"
 
     action_kind = "group_translation"
 
     def __post_init__(self):
-        self._check_adjoint_kind()
-        if not isinstance(self.space, FiniteAbelian):
-            raise SpaceMismatch("GroupTranslation acts on a FiniteAbelian space")
+        super().__post_init__()
         object.__setattr__(self, "element", self.space.canonicalize(self.element))
 
     def apply_many(self, points) -> np.ndarray:

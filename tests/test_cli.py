@@ -290,7 +290,7 @@ def test_verify_config_list_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("mode", ["analyze", "synthesize"])
-@pytest.mark.parametrize("group", ["1", "0", "-3", "2,1"])
+@pytest.mark.parametrize("group", ["1", "0", "-3", "2,1", "2,x"])
 def test_fourier_group_with_an_order_below_2_exits_2(tmp_path, capsys, mode, group):
     values = _write(tmp_path, "f.json", [1, 2])
     _exits_2(capsys, ["fourier", mode, "--group", group, "--input", values], "group")
@@ -302,8 +302,9 @@ def test_verify_negative_seed_exits_2(tmp_path, capsys):
     _exits_2(capsys, ["verify", "negative-controls", "--config", config], "seed")
 
 
-def test_verify_empty_group_exits_2(tmp_path, capsys):
-    config = _write(tmp_path, "cfg.json", {"group": [], "n_points": 1})
+@pytest.mark.parametrize("group", [[], 5, [1]])
+def test_verify_empty_group_exits_2(tmp_path, capsys, group):
+    config = _write(tmp_path, "cfg.json", {"group": group, "n_points": 1})
     _exits_2(capsys, ["verify", "abelian-roundtrip", "--config", config], "group")
 
 

@@ -170,6 +170,17 @@ def test_the_padded_witness_record_builds_one_gram_and_runs_one_eigh(monkeypatch
     assert calls == {"gram": 1, "classify": 1, "eigh": 1}
 
 
+def test_embed_check_contracts_pair_values_without_projecting(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("embed-check built a projected kernel")
+
+    monkeypatch.setattr(harness, "project", refuse)
+    records = harness._suite_embed(SuiteConfig("embed-check"))
+    assert all(r.passed for r in records)
+    assert records[0].evidence["vectors"] == 30
+    assert records[0].evidence["max_pointwise_diff"] == records[1].evidence["max_pointwise_diff"] == 0.0
+
+
 def test_a_witness_at_the_shifted_origin_is_a_failed_record():
     plane = Euclidean(2)
     cex = build_shifted(DotExp(plane), EuclideanScaling(plane, 2.0), np.zeros(2))

@@ -65,9 +65,12 @@ MAPS = [
 KERNELS = [
     CircleExpCos(Circle()),
     Gaussian(Euclidean(3), sigma=0.5),
+    # DotExp and TorusProduct declare a union of spaces; each member round-trips.
+    DotExp(ComplexSphere(2), scale=0.5),
     DotExp(Euclidean(2), scale=2.0, shift=1.0),
     OffsetKernel(DotExp(Euclidean(2)), -1.0),
     Composed(CircleExpCos(Circle()), CircleRotation(Circle(), 1.0), None),
+    TorusProduct(Circle(eq_tol=1e-8)),
     TorusProduct(Euclidean(2)),
     GroupFourier(FiniteAbelian((2, 2)), (1.0, 0.5 + 0.25j, 0.25, 0.0)),
     ZeroKernel(ComplexSphere(2)),
