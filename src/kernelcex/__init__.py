@@ -45,7 +45,7 @@ from .kernels import (
     gram,
     project,
 )
-from .numcore import HermitianMatrix, PDKind, PDVerdict, classify, numeric_rank, quadratic_form
+from .numcore import HermitianMatrix, PDKind, PDVerdict, classify, classify_many, quadratic_form
 from .spaces import (
     Circle,
     ComplexSphere,

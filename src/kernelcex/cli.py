@@ -19,6 +19,7 @@ from .kernels import gram
 from .numcore import classify
 from .serialize import (
     SCHEMA_VERSION,
+    _refuse_unknown,
     complex_from_json,
     dumps,
     kernel_from_json,
@@ -41,6 +42,7 @@ def _load_points(path: str, space) -> list:
     """A point list file: a JSON list, or an object with a "points" list."""
     raw = _load_json(path)
     if isinstance(raw, dict):
+        _refuse_unknown(raw, ("points",), path)
         raw = raw.get("points")
     if not isinstance(raw, list):
         raise ConfigError(f"{path}: expected a list of points or an object with a 'points' list")

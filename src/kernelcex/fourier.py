@@ -169,8 +169,8 @@ def strict_criterion(spectrum: FourierSpectrum, strict_tol: float = STRICT_TOL) 
 def brute_force_strict(kernel) -> PDVerdict:
     """Ground-truth strictness oracle: classify the Gram over all of G (distinct points).
 
-    The verdict comes from ``classify_many`` (eigenvalues only), so its
-    ``null_vectors`` is empty even when the Gram is degenerate.
+    The verdict is that of ``classify_many`` (eigenvalues only), so it
+    carries no null vectors even when the Gram is degenerate.
     """
     group = kernel.space
     if not isinstance(group, FiniteAbelian):
@@ -180,11 +180,4 @@ def brute_force_strict(kernel) -> PDVerdict:
     if size > MAX_BRUTE_SIZE:
         raise TooLarge(f"dense Gram of size {size} exceeds the {MAX_BRUTE_SIZE} cap")
     elements = group.stack(group.elements())
-    batch = classify_many(kernel.block(elements, elements)[None])
-    return PDVerdict(
-        kind=batch.kinds[0],
-        min_eigenvalue=float(batch.min_eigenvalues[0]),
-        numeric_rank=int(batch.numeric_ranks[0]),
-        null_vectors=np.zeros((size, 0), dtype=np.complex128),
-        scale=float(batch.scales[0]),
-    )
+    return classify_many(kernel.block(elements, elements)[None])[0]

@@ -48,8 +48,8 @@ from .kernels import (
     pair_values,
     project,
 )
-from .numcore import PDKind, classify, classify_many
-from .serialize import SCHEMA_VERSION, _field, dumps
+from .numcore import classify, classify_many, relative_tol
+from .serialize import SCHEMA_VERSION, _field, _refuse_unknown, dumps
 from .spaces import Circle, ComplexSphere, Euclidean, FiniteAbelian, Space, cyclic_orders, field_types
 from .symmetry import (
     CircleRotation,
@@ -93,11 +93,8 @@ class SuiteConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SuiteConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known - {"schema_version"}
-        if unknown:
-            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        cfg = cls(**{k: v for k, v in data.items() if k in known})
+        _refuse_unknown(data, {f.name for f in dataclasses.fields(cls)} | {"schema_version"}, "config")
+        cfg = cls(**{k: v for k, v in data.items() if k != "schema_version"})
         cfg.validate()
         return cfg
 
@@ -115,7 +112,9 @@ class SuiteConfig:
                      "orbit_instances", "spectra"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name}: must be at least 1")
-        for name in ("pd_tol", "resid_tol", "strict_tol", "min_sep", "radius"):
+        for name in ("pd_tol", "resid_tol"):
+            relative_tol(getattr(self, name), name)
+        for name in ("strict_tol", "min_sep", "radius"):
             value = getattr(self, name)
             if value is not None and value <= 0:
                 raise ConfigError(f"{name}: must be positive")
@@ -315,8 +314,8 @@ def _sample_merged(
             placed = [p[:1] for p in pts]
             if cond_kernel is not None:
                 merged = np.concatenate([include, *placed, include_images, *(p[1:] for p in pts)])
-                verdict = classify_many(gram(cond_kernel, merged).entries[None], _CONDITIONING_FLOOR)
-                if verdict.kinds[0] is not PDKind.POSITIVE_DEFINITE:
+                verdict, = classify_many(gram(cond_kernel, merged).entries[None], _CONDITIONING_FLOOR)
+                if not verdict.is_positive_definite:
                     continue
             return space.unstack(np.concatenate([include, *placed]))
     finally:
@@ -433,11 +432,8 @@ def _projection_strictness_record(
         grams = np.einsum("vi,iajb,vj->vab", vectors.conj(), blocked, vectors)
         verdicts = classify_many(grams, cfg.pd_tol)
         total += len(vectors)
-        definite += verdicts.kinds.count(PDKind.POSITIVE_DEFINITE)
-        scaled = verdicts.scales > 0
-        if scaled.any():
-            ratios = verdicts.min_eigenvalues[scaled] / verdicts.scales[scaled]
-            worst_ratio = min(worst_ratio, float(np.min(ratios)))
+        definite += sum(v.is_positive_definite for v in verdicts)
+        worst_ratio = min([worst_ratio] + [v.min_eigenvalue / v.scale for v in verdicts if v.scale > 0])
     return _rec(
         name,
         claim,

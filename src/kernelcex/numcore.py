@@ -3,9 +3,11 @@
 All thresholds are relative to the spectral scale of the matrix at hand
 (largest absolute eigenvalue), because Gram entries of the kernel catalog
 span several orders of magnitude. The verdict rule lives in one place,
-``_verdicts``: ``classify`` applies it to one matrix and returns null
-vectors, ``classify_many`` to a stack of matrices after one batched
-eigenvalue call. Non-finite entries are rejected rather than classified.
+``_verdicts``, which returns one ``PDVerdict`` per matrix: ``classify``
+applies it to one matrix and returns null vectors, ``classify_many`` to a
+stack after one batched eigenvalue call. A tolerance outside (0, 1) is a
+``ConfigError`` (``relative_tol``), and non-finite entries or a non-finite
+spectrum raise ``NonFiniteValue``: garbage gets no verdict.
 Everything here is pure and safe to use from concurrent workers.
 """
 
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFiniteValue, NonHermitianInput, SolverError
+from .errors import ConfigError, DimensionMismatch, NonFiniteValue, NonHermitianInput, SolverError
 
 PD_TOL = 1e-9
 HERM_TOL = 1e-12
@@ -61,8 +63,8 @@ class PDVerdict:
 
     ``null_vectors`` holds orthonormal columns spanning the numerical null
     space; it is empty unless the matrix is degenerate, and always empty in
-    a verdict of ``fourier.brute_force_strict``, which computes eigenvalues
-    only. ``scale`` is the largest absolute eigenvalue and normalizes every
+    a verdict of ``classify_many``, which computes eigenvalues only.
+    ``scale`` is the largest absolute eigenvalue and normalizes every
     threshold.
     """
 
@@ -103,99 +105,76 @@ def _checked_stack(matrices, ndim: int) -> np.ndarray:
 
 
 def _symmetrized(arr: np.ndarray) -> np.ndarray:
-    return 0.5 * (arr + np.swapaxes(arr, -2, -1).conj())
+    # The Hermitian part (A + A^H) / 2, written so that it neither overflows
+    # a finite matrix nor rounds away subnormal entries.
+    return arr + 0.5 * (np.swapaxes(arr, -2, -1).conj() - arr)
 
 
-def _spectrum(solver, arr: np.ndarray):
+def relative_tol(tol, name: str = "tol") -> float:
+    """The one rule for a relative tolerance: a number in (0, 1) (a refusal names ``name``)."""
+    if isinstance(tol, (int, float, np.floating)) and 0.0 < tol < 1.0:
+        return tol
+    raise ConfigError(f"{name}: must be a relative tolerance in (0, 1), got {tol!r}")
+
+
+def _verdicts(stack: np.ndarray, tol: float, null_vectors: bool = False) -> tuple[PDVerdict, ...]:
+    """The verdict rule for each matrix of a checked stack, after one
+    decomposition of the symmetrized stack: scale (largest absolute
+    eigenvalue), cutoff ``tol * scale``, kind (positive definite above the
+    cutoff, indefinite below minus it, degenerate between) and numeric rank
+    (eigenvalues above the cutoff in magnitude). Null vectors are computed
+    only when asked for; a non-finite spectrum raises ``NonFiniteValue``."""
+    tol = relative_tol(tol)
     try:
-        return solver(_symmetrized(arr))
+        if null_vectors:
+            eigvals, eigvecs = np.linalg.eigh(_symmetrized(stack))
+        else:
+            eigvals = np.linalg.eigvalsh(_symmetrized(stack))
     except np.linalg.LinAlgError as exc:
         raise SolverError(str(exc)) from exc
-
-
-def _verdicts(eigvals: np.ndarray, tol: float):
-    """The verdict rule for each row of ascending eigenvalues: scales (largest
-    absolute eigenvalue), smallest eigenvalues, cutoffs ``tol * scale``, kinds
-    (positive definite above the cutoff, indefinite below minus it, degenerate
-    between) and numeric ranks (eigenvalues above the cutoff in magnitude)."""
+    if not np.isfinite(eigvals).all():
+        raise NonFiniteValue("matrix has a NaN or infinite eigenvalue")
     scales = np.max(np.abs(eigvals), axis=1)
     cutoffs = tol * scales
-    min_eigs = eigvals[:, 0]
-    kinds = tuple(
-        PDKind.POSITIVE_DEFINITE if m > c
-        else PDKind.INDEFINITE if m < -c
-        else PDKind.POSITIVE_SEMIDEFINITE_DEGENERATE
-        for m, c in zip(min_eigs.tolist(), cutoffs.tolist())
-    )
     ranks = np.count_nonzero(np.abs(eigvals) > cutoffs[:, None], axis=1)
-    return scales, min_eigs, cutoffs, kinds, ranks
+    empty = np.zeros((stack.shape[-1], 0), dtype=np.complex128)
+    out = []
+    rows = zip(eigvals[:, 0].tolist(), cutoffs.tolist(), ranks.tolist(), scales.tolist())
+    for k, (low, cutoff, rank, scale) in enumerate(rows):
+        kind = (PDKind.POSITIVE_DEFINITE if low > cutoff
+                else PDKind.INDEFINITE if low < -cutoff
+                else PDKind.POSITIVE_SEMIDEFINITE_DEGENERATE)
+        null = empty
+        if null_vectors and kind is PDKind.POSITIVE_SEMIDEFINITE_DEGENERATE:
+            null = eigvecs[k][:, np.abs(eigvals[k]) <= cutoff]
+        out.append(PDVerdict(kind, low, rank, null, scale))
+    return tuple(out)
 
 
-def _coerce(matrix) -> HermitianMatrix:
-    if isinstance(matrix, HermitianMatrix):
-        return matrix
-    return HermitianMatrix(np.asarray(matrix))
+def _entries(matrix) -> np.ndarray:
+    """The checked entries of a ``HermitianMatrix`` or of an array_like."""
+    return matrix.entries if isinstance(matrix, HermitianMatrix) else _checked_stack(matrix, 2)
 
 
 def classify(matrix, tol: float = PD_TOL) -> PDVerdict:
-    """Classify a Hermitian matrix as PD, degenerate PSD, or indefinite.
-
-    Parameters
-    ----------
-    matrix : HermitianMatrix or array_like
-        The matrix to classify; symmetrized before decomposition.
-    tol : float
-        Relative eigenvalue threshold (default ``PD_TOL``). An eigenvalue
-        counts as zero when its magnitude is at most ``tol`` times the
-        spectral scale.
-
-    A full eigendecomposition is used rather than a Cholesky attempt so
-    that degenerate verdicts can return null vectors as witnesses.
+    """Classify a Hermitian matrix (a ``HermitianMatrix`` or an array_like)
+    as PD, degenerate PSD, or indefinite. An eigenvalue counts as zero when
+    its magnitude is at most ``tol``, a relative tolerance in (0, 1), times
+    the spectral scale. A full eigendecomposition rather than a Cholesky
+    attempt lets a degenerate verdict return null vectors as witnesses.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    mat = _coerce(matrix)
-    eigvals, eigvecs = _spectrum(np.linalg.eigh, mat.entries)
-    scales, min_eigs, cutoffs, kinds, ranks = _verdicts(eigvals[None], tol)
-    if kinds[0] is PDKind.POSITIVE_SEMIDEFINITE_DEGENERATE:
-        null = eigvecs[:, np.abs(eigvals) <= cutoffs[0]]
-    else:
-        null = np.zeros((mat.dim, 0), dtype=np.complex128)
-    return PDVerdict(
-        kind=kinds[0],
-        min_eigenvalue=float(min_eigs[0]),
-        numeric_rank=int(ranks[0]),
-        null_vectors=null,
-        scale=float(scales[0]),
-    )
+    return _verdicts(_entries(matrix)[None], tol, null_vectors=True)[0]
 
 
-@dataclass(frozen=True)
-class BatchVerdict:
-    """Verdicts for a stack of Hermitian matrices, one entry per matrix.
+def classify_many(matrices, tol: float = PD_TOL) -> tuple[PDVerdict, ...]:
+    """Classify a stack of Hermitian matrices of one size, one verdict each.
 
-    The rule is that of ``classify``; null vectors are not computed.
+    Each matrix is checked as by ``HermitianMatrix`` and classified by the
+    rule of ``classify``, with thresholds relative to its own spectral
+    scale, after one batched ``eigvalsh`` call; the verdicts carry no null
+    vectors.
     """
-
-    kinds: tuple[PDKind, ...]
-    min_eigenvalues: np.ndarray
-    numeric_ranks: np.ndarray
-    scales: np.ndarray
-
-
-def classify_many(matrices, tol: float = PD_TOL) -> BatchVerdict:
-    """Classify a stack of Hermitian matrices of one size.
-
-    Each matrix is checked and symmetrized as by ``HermitianMatrix`` and
-    ``classify``, and every eigenvalue threshold is ``tol`` times that
-    matrix's own spectral scale. One batched ``eigvalsh`` call replaces a
-    decomposition per matrix.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    eigvals = _spectrum(np.linalg.eigvalsh, _checked_stack(matrices, 3))
-    scales, min_eigs, _, kinds, ranks = _verdicts(eigvals, tol)
-    return BatchVerdict(kinds=kinds, min_eigenvalues=min_eigs, numeric_ranks=ranks, scales=scales)
+    return _verdicts(_checked_stack(matrices, 3), tol)
 
 
 def quadratic_form(matrix, coefficients) -> float:
@@ -205,20 +184,15 @@ def quadratic_form(matrix, coefficients) -> float:
     times the spectral scale proxy (largest entry magnitude), which signals
     a matrix that is not Hermitian enough for the form to be real.
     """
-    mat = _coerce(matrix)
+    entries = _entries(matrix)
     c = np.asarray(coefficients, dtype=np.complex128)
-    if c.shape != (mat.dim,):
-        raise DimensionMismatch(f"coefficient length {c.shape} does not match dim {mat.dim}")
-    value = complex(np.vdot(c, mat.entries @ c))
-    entry_scale = float(np.max(np.abs(mat.entries)))
+    if c.shape != entries.shape[:1]:
+        raise DimensionMismatch(f"coefficient length {c.shape} does not match dim {len(entries)}")
+    value = complex(np.vdot(c, entries @ c))
+    entry_scale = float(np.max(np.abs(entries)))
     norm_sq = float(np.vdot(c, c).real)
     if abs(value.imag) > RESID_TOL * entry_scale * max(norm_sq, 1.0):
         warnings.warn(
             f"quadratic form has imaginary part {value.imag:.3e}", stacklevel=2
         )
     return float(value.real)
-
-
-def numeric_rank(matrix, tol: float = PD_TOL) -> int:
-    """Count eigenvalues whose magnitude exceeds ``tol`` times the scale."""
-    return classify(matrix, tol).numeric_rank

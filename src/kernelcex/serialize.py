@@ -12,6 +12,8 @@ holds a tag (``kind``, ``form`` or ``action_kind``) and the dataclass fields
 (a map's but space and adjoint under ``parameters``). A field without a
 default is required, and a value is decoded by its field's declared type (a
 union's by its first member's; the constructor checks that the space fits).
+Any other key is refused by name (``_refuse_unknown``), in these documents,
+in counterexamples, spectra, point files and suite configs alike.
 
 One field rule (``_field``) reads every number: in these documents, in
 spectra, in point lists and in suite configs. A bool or a string is never a
@@ -219,7 +221,7 @@ def space_to_json(space: Space) -> dict:
 
 @_decoder
 def space_from_json(data: dict) -> Space:
-    return _from_fields(_tagged_class(data.get("kind"), _SPACES, "space kind"), data)
+    return _from_fields(_tagged_class(data.get("kind"), _SPACES, "space kind"), data, "kind")
 
 
 def point_to_json(space: Space, point):
@@ -249,6 +251,7 @@ def map_to_json(phi: SymmetryMap) -> dict:
 
 @_decoder
 def map_from_json(data: dict) -> SymmetryMap:
+    _refuse_unknown(data, ("space", "action_kind", "parameters", "adjoint"), "map")
     space = space_from_json(data["space"])
     cls = _tagged_class(data.get("action_kind"), _MAPS, "action kind")
     # An absent "adjoint" means no partner, whatever the class default.
@@ -261,7 +264,7 @@ def scalar_kernel_to_json(kernel: ScalarKernel) -> dict:
 
 @_decoder
 def scalar_kernel_from_json(data: dict) -> ScalarKernel:
-    return _from_fields(_tagged_class(data.get("form"), _KERNELS, "kernel form"), data)
+    return _from_fields(_tagged_class(data.get("form"), _KERNELS, "kernel form"), data, "form")
 
 
 def _tagged_class(tag, table: dict, what: str) -> type:
@@ -294,12 +297,21 @@ def _to_json(value):
     return value
 
 
-def _from_fields(cls, doc: dict, **given):
-    """``cls`` from ``given`` and ``doc``; a missing required field is a ``KeyError``."""
+def _refuse_unknown(doc: dict, known, what: str) -> None:
+    """Refuse, by name, every key of ``doc`` that is not in ``known``."""
+    unknown = [k for k in doc if k not in known]
+    if unknown:
+        raise ConfigError(f"{what}: unknown keys {unknown}")
+
+
+def _from_fields(cls, doc: dict, tag: str | None = None, **given):
+    """``cls`` from ``given`` and ``doc``; a missing required field is a
+    ``KeyError``, and a key of ``doc`` other than ``tag`` that names no
+    other field a ``ConfigError``."""
+    fields = [f for f in dataclasses.fields(cls) if f.name not in given]
+    _refuse_unknown(doc, {tag, *(f.name for f in fields)}, cls.__name__)
     types = field_types(cls)
-    for f in dataclasses.fields(cls):
-        if f.name in given:
-            continue
+    for f in fields:
         if f.name in doc:
             given[f.name] = _field(f.name, types[f.name], doc[f.name])
         elif f.default is dataclasses.MISSING:
@@ -379,6 +391,7 @@ def counterexample_to_json(cex: CounterexampleKernel) -> dict:
 
 @_decoder
 def counterexample_from_json(data: dict) -> CounterexampleKernel:
+    _refuse_unknown(data, ("variant", "base", "map", "origin", "ell", "filler"), "counterexample")
     base = scalar_kernel_from_json(data["base"])
     phi = map_from_json(data["map"])
     variant = data.get("variant")
@@ -425,6 +438,7 @@ def spectrum_to_json(spectrum: FourierSpectrum) -> dict:
 
 @_decoder
 def spectrum_from_json(data: dict) -> FourierSpectrum:
+    _refuse_unknown(data, ("schema_version", "group", "coefficients", "analysis_residual"), "spectrum")
     group = FiniteAbelian(cyclic_orders(_field("group", tuple[int, ...], data["group"]), "group"))
     raw = data["coefficients"]
     if raw and isinstance(raw[0], list):

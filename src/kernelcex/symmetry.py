@@ -210,7 +210,7 @@ def check_aperiodic(phi: SymmetryMap, probes, m_max: int) -> AperiodicityEvidenc
     violations is evidence, not proof.
     """
     if m_max < 1:
-        raise ValueError("m_max must be at least 1")
+        raise ConfigError(f"m_max: must be at least 1, got {m_max}")
     space = phi.space
     X = space.stack(list(probes))
     # returned[i]: the first m with phi^m(x_i) == x_i, or 0 while there is none.

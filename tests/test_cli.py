@@ -113,6 +113,18 @@ def test_orbit_command(tmp_path, capsys):
     np.testing.assert_allclose([z[0] for z in data["z_points"]], [1, 2, 3, 6, 0, 5])
 
 
+def test_gram_near_the_float_limit_gets_a_finite_verdict(tmp_path, capsys):
+    # exp(26.64^2) is about 1.6e308: the Gram is finite, its sum A + A^H is not.
+    kernel = _write(tmp_path, "k.json", {"form": "dot_exp", "space": {"kind": "euclidean", "dim": 1}})
+    points = _write(tmp_path, "p.json", [[26.64], [-26.64]])
+    assert main(["gram", "--kernel", kernel, "--points", points]) == 0
+    verdict = json.loads(capsys.readouterr().out)["verdict"]
+    assert verdict["kind"] == "positive_definite"
+    assert verdict["numeric_rank"] == 2
+    assert math.isfinite(verdict["min_eigenvalue"]) and math.isfinite(verdict["scale"])
+    assert verdict["min_eigenvalue"] > 1e308
+
+
 def test_orbit_periodic_map_exits_2(tmp_path, capsys):
     map_file = _write(
         tmp_path,
@@ -415,34 +427,53 @@ def _paths(doc, path=()):
         yield from _paths(value, path + (key,))
 
 
+# A key that no document of MUTATION_CASES has as a field.
+STRAY_KEY = "stray"
+
+
 @st.composite
 def mutated_inputs(draw):
-    """A valid case with one value of one document replaced or deleted."""
+    """A valid case with one value of one document replaced or deleted, or
+    with a key that names no field inserted into one of its objects, and
+    the kind of that mutation."""
     argv, files, target = draw(st.sampled_from(MUTATION_CASES))
     files = copy.deepcopy(files)
+    objects = [p for p in _paths(files[target]) if isinstance(_at(files[target], p), dict)]
+    if objects and draw(st.booleans()):
+        _at(files[target], draw(st.sampled_from(objects)))[STRAY_KEY] = draw(JSON_VALUES)
+        return argv, files, "insert"
     path = draw(st.sampled_from(list(_paths(files[target]))))
     if not path:
         files[target] = draw(JSON_VALUES)
-        return argv, files
-    parent = files[target]
-    for key in path[:-1]:
-        parent = parent[key]
+        return argv, files, "replace"
+    parent = _at(files[target], path[:-1])
     if draw(st.booleans()):
         del parent[path[-1]]
-    else:
-        parent[path[-1]] = draw(JSON_VALUES)
-    return argv, files
+        return argv, files, "delete"
+    parent[path[-1]] = draw(JSON_VALUES)
+    return argv, files, "replace"
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
 
 
 @given(mutated_inputs())
 @settings(max_examples=500, deadline=None)
 def test_mutated_documents_exit_0_or_2(case):
-    argv, files = case
+    argv, files, kind = case
+    err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         paths = {}
         for name, payload in files.items():
             paths["{" + name + "}"] = str(Path(tmp) / f"{name}.json")
             Path(paths["{" + name + "}"]).write_text(json.dumps(payload))
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main([paths.get(arg, arg) for arg in argv])
-    assert code in (0, 2)
+    if kind == "insert":
+        assert code == 2
+        assert repr(STRAY_KEY) in err.getvalue()
+    else:
+        assert code in (0, 2)

@@ -154,7 +154,13 @@ def test_a_malformed_number_is_a_config_error_naming_its_field(site, value):
 @pytest.mark.parametrize("site_id", DECODER_SITES)
 def test_each_site_takes_a_well_formed_number(site_id):
     # So that a refusal above is the value's, not the document's.
-    DECODER_SITES[site_id][2](0.0 if site_id.endswith(("eq_tol", "origin", "complex-sphere")) else 2)
+    if site_id.endswith(("eq_tol", "origin", "complex-sphere")):
+        good = 0.0
+    elif site_id.endswith(("pd_tol", "resid_tol")):
+        good = 0.5  # a relative tolerance, in (0, 1)
+    else:
+        good = 2
+    DECODER_SITES[site_id][2](good)
 
 
 def test_an_integral_float_is_an_integer_everywhere():

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,13 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kernelcex.errors import DimensionMismatch, NonHermitianInput
+from kernelcex.cli import main
+from kernelcex.errors import ConfigError, DimensionMismatch, NonFiniteValue, NonHermitianInput
+from kernelcex.harness import SuiteConfig
 from kernelcex.numcore import (
     HermitianMatrix,
     PDKind,
     classify,
     classify_many,
-    numeric_rank,
     quadratic_form,
 )
 
@@ -96,8 +98,8 @@ def test_quadratic_form_dimension_mismatch():
 
 
 def test_numeric_rank_examples():
-    assert numeric_rank(np.eye(3)) == 3
-    assert numeric_rank(np.ones((4, 4))) == 1
+    assert classify(np.eye(3)).numeric_rank == 3
+    assert classify(np.ones((4, 4))).numeric_rank == 1
 
 
 def test_numeric_rank_circle_counterexample_gram():
@@ -115,7 +117,7 @@ def test_numeric_rank_circle_counterexample_gram():
                     b = x[nu] + (rho if j == 0 else 0.0)
                     g[i * 2 + mu, j * 2 + nu] = k(a, b)
     np.testing.assert_allclose(g[0], g[3], rtol=0, atol=1e-15)
-    assert numeric_rank(g) == 3
+    assert classify(g).numeric_rank == 3
 
 
 complex_entries = st.complex_numbers(
@@ -188,19 +190,46 @@ def test_classify_and_classify_many_agree_at_the_cutoff(diagonal, kind, rank):
     # Diagonal entries are the exact eigenvalues; scale 4, cutoff 4 * TOL.
     m = np.diag(diagonal)
     one = classify(m, TOL)
-    many = classify_many([m, m], TOL)
     assert (one.kind, one.numeric_rank, one.scale) == (kind, rank, 4.0)
     assert one.min_eigenvalue == min(diagonal)
-    assert many.kinds == (kind, kind)
-    assert many.numeric_ranks.tolist() == [rank, rank]
-    assert many.min_eigenvalues.tolist() == [min(diagonal)] * 2
-    assert many.scales.tolist() == [4.0, 4.0]
+    many = classify_many([m, m], TOL)
+    assert len(many) == 2
+    for verdict in many:
+        assert (verdict.kind, verdict.min_eigenvalue, verdict.numeric_rank, verdict.scale) == (
+            one.kind, one.min_eigenvalue, one.numeric_rank, one.scale
+        )
+        assert verdict.null_vectors.shape == (3, 0)
 
 
-@pytest.mark.parametrize("tol", [0.0, -1e-9])
-def test_nonpositive_tol_is_rejected_before_the_matrix_is_checked(tol):
-    bad = [[math.nan, 1.0], [2.0, 3.0]]
-    with pytest.raises(ValueError, match="tol must be positive"):
-        classify(bad, tol)
-    with pytest.raises(ValueError, match="tol must be positive"):
-        classify_many([bad], tol)
+def test_near_overflow_matrix_is_classified_with_finite_evidence():
+    # Symmetrizing as 0.5 * (A + A^H) would overflow these entries to inf.
+    verdict = classify(np.diag([1e308, 1e308]))
+    assert verdict.kind is PDKind.POSITIVE_DEFINITE
+    assert (verdict.min_eigenvalue, verdict.scale, verdict.numeric_rank) == (1e308, 1e308, 2)
+    assert classify_many([np.diag([1e308, 1e308])])[0].kind is PDKind.POSITIVE_DEFINITE
+    # Halving before the sum everywhere would round a subnormal entry to 0.
+    assert classify(np.array([[5e-324]])).kind is PDKind.POSITIVE_DEFINITE
+
+
+def test_a_non_finite_spectrum_raises_instead_of_a_verdict():
+    # Finite entries whose largest eigenvalue (3.4e308) overflows.
+    m = np.full((2, 2), 1.7e308)
+    with pytest.raises(NonFiniteValue):
+        classify(m)
+    with pytest.raises(NonFiniteValue):
+        classify_many([m])
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf, -math.inf, 1.0, 2.0])
+def test_a_tolerance_outside_the_unit_interval_is_refused_naming_its_field(tol, tmp_path, capsys):
+    with pytest.raises(ConfigError, match="^tol: "):
+        classify(np.eye(2), tol)
+    with pytest.raises(ConfigError, match="^tol: "):
+        classify_many([np.eye(2)], tol)
+    for name in ("pd_tol", "resid_tol"):
+        with pytest.raises(ConfigError, match=f"^{name}: "):
+            SuiteConfig.from_dict({"suite": "negative-controls", name: tol})
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({name: tol}))
+        assert main(["verify", "negative-controls", "--config", str(config)]) == 2
+        assert f"config error: {name}: " in capsys.readouterr().err

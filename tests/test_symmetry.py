@@ -82,6 +82,12 @@ def test_aperiodic_rotation_by_one_no_violation():
     assert ev.ok
 
 
+@pytest.mark.parametrize("m_max", [0, -1])
+def test_aperiodic_power_bound_below_one_is_a_config_error(m_max):
+    with pytest.raises(ConfigError, match="^m_max: "):
+        check_aperiodic(CircleRotation(Circle(), 1.0), [0.0], m_max)
+
+
 def test_aperiodic_scaling_no_violation_away_from_origin():
     ev = check_aperiodic(EuclideanScaling(Euclidean(2), 2.0), [(1.0, 0.0)], m_max=30)
     assert ev.ok
