@@ -22,9 +22,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import TooLarge, WrongLength, WrongSpaceKind
+from .errors import NonFiniteValue, TooLarge, WrongLength, WrongSpaceKind
 from .kernels import GroupFourier, MatrixKernel, ScalarKernel
-from .numcore import PDVerdict, classify_many
+from .numcore import PD_TOL, PDVerdict, _symmetrized, classify_many
 from .spaces import FiniteAbelian
 
 STRICT_TOL = 1e-10
@@ -100,11 +100,14 @@ class FourierSpectrum:
 
     def min_coefficient(self) -> float:
         """Smallest coefficient (scalar) or smallest eigenvalue of the
-        Hermitian parts of the coefficient matrices (matrix)."""
+        Hermitian parts of the coefficient matrices (matrix). A NaN or
+        infinite coefficient, or eigenvalue, raises ``NonFiniteValue``."""
+        values = self.coefficients
         if self.is_matrix:
-            sym = 0.5 * (self.coefficients + np.conj(np.transpose(self.coefficients, (0, 2, 1))))
-            return float(np.min(np.linalg.eigvalsh(sym)[:, 0]))
-        return float(np.min(self.coefficients))
+            values = np.linalg.eigvalsh(_symmetrized(values))
+        if not np.isfinite(values).all():
+            raise NonFiniteValue("the coefficient spectrum has a NaN or infinite value")
+        return float(np.min(values))
 
 
 def analyze(values, group: FiniteAbelian) -> FourierSpectrum:
@@ -128,7 +131,7 @@ def analyze(values, group: FiniteAbelian) -> FourierSpectrum:
         return FourierSpectrum(group=group, coefficients=raw.real, analysis_residual=residual)
     if vals.ndim == 3 and vals.shape[1] == vals.shape[2]:
         raw = np.einsum("gx,xij->gij", table.conj(), vals.astype(np.complex128)) / n
-        herm = 0.5 * (raw + np.conj(np.transpose(raw, (0, 2, 1))))
+        herm = _symmetrized(raw)
         residual = float(np.max(np.abs(raw - herm)))
         return FourierSpectrum(group=group, coefficients=herm, analysis_residual=residual)
     raise WrongLength(f"values must be (|G|,) or (|G|, ell, ell), got {vals.shape}")
@@ -166,8 +169,9 @@ def strict_criterion(spectrum: FourierSpectrum, strict_tol: float = STRICT_TOL) 
     return spectrum.min_coefficient() > strict_tol
 
 
-def brute_force_strict(kernel) -> PDVerdict:
-    """Ground-truth strictness oracle: classify the Gram over all of G (distinct points).
+def brute_force_strict(kernel, tol: float = PD_TOL) -> PDVerdict:
+    """Ground-truth strictness oracle: classify the Gram over all of G
+    (distinct points) at the relative tolerance ``tol``.
 
     The verdict is that of ``classify_many`` (eigenvalues only), so it
     carries no null vectors even when the Gram is degenerate.
@@ -180,4 +184,4 @@ def brute_force_strict(kernel) -> PDVerdict:
     if size > MAX_BRUTE_SIZE:
         raise TooLarge(f"dense Gram of size {size} exceeds the {MAX_BRUTE_SIZE} cap")
     elements = group.stack(group.elements())
-    return classify_many(kernel.block(elements, elements)[None])[0]
+    return classify_many(kernel.block(elements, elements)[None], tol)[0]

@@ -45,6 +45,7 @@ from .kernels import (
     check_adjoint_invariance,
     check_unitary_invariance,
     gram,
+    grams,
     pair_values,
     project,
 )
@@ -212,42 +213,9 @@ _MAX_ATTEMPTS = 200_000
 _MAX_BLOCK = 256
 
 
-def _sample_merged(
-    space: Space,
-    phi: SymmetryMap | None,
-    n: int,
-    min_sep: float,
-    rng: np.random.Generator,
-    radius: float | None = None,
-    include=(),
-    min_norm: float = 0.0,
-    cond_kernel=None,
-) -> list:
-    """Sample n points such that the set together with its images under phi
-    (and any pre-included points) stays pairwise ``min_sep``-separated.
-
-    Separation plus the optional conditioning floor on ``cond_kernel``'s
-    merged-set Gram keep projection Gram matrices away from incidental
-    ill-conditioning, so that only the constructed degeneracies can make a
-    verdict non-definite. Each placement slot takes candidates until one
-    passes; a slot that fails ``_SLOT_ATTEMPTS`` draws (a draw skipped for
-    ``min_norm`` counts) restarts the whole set, and ``_MAX_ATTEMPTS``
-    draws in all raise ``ConfigError``.
-
-    One pass decides every draw once, on stacked values. Candidates are
-    drawn ahead in blocks (the first holds 2n draws, each later one as
-    many as were drawn before it, up to ``_MAX_BLOCK``), stacked, mapped and
-    screened against the merged set once; after each acceptance only the
-    rest of the block is screened against the new point and its image, and
-    a restart screens it against the included points again, so a dead end
-    or a restart costs no numpy call per draw.
-
-    Stream contract: the sampler returns, bit for bit, the points of a loop
-    that draws and tests one candidate at a time. At return, and on
-    ``ConfigError``, it rewinds the generator to the start of the block and
-    redraws the draws it consumed there, so it consumes exactly that loop's
-    draws and leaves the generator in the same final state.
-    """
+def _separated_sets(space, phi, n, min_sep, rng, radius, include, min_norm):
+    """One generator's search (see ``_sample_merged_many``): each separated set it
+    completes, as canonical stacks (merged set with images, points), until closed."""
     include = space.stack(include)
     include_images = include[:0]
     if phi is not None and len(include):
@@ -309,19 +277,69 @@ def _sample_merged(
                 pts.append(cands[:, j])
                 open_ &= clear(dist)
                 pos, used = j + 1, 0
-            if len(pts) < n:
-                continue
-            placed = [p[:1] for p in pts]
-            if cond_kernel is not None:
+            if len(pts) == n:
+                placed = [p[:1] for p in pts]
                 merged = np.concatenate([include, *placed, include_images, *(p[1:] for p in pts)])
-                verdict, = classify_many(gram(cond_kernel, merged).entries[None], _CONDITIONING_FLOOR)
-                if not verdict.is_positive_definite:
-                    continue
-            return space.unstack(np.concatenate([include, *placed]))
+                yield merged, np.concatenate([include, *placed])
     finally:
         if pos < cands.shape[1]:
             rng.bit_generator.state = start
             _draw_many(space, rng, radius, pos)
+
+
+def _sample_merged_many(space: Space, phi: SymmetryMap | None, n: int, min_sep: float, rngs,
+                        radius=None, include=(), min_norm=0.0, cond_kernel=None) -> np.ndarray:
+    """For each generator, sample n points such that the set together with
+    its images under phi (and any pre-included points) stays pairwise
+    ``min_sep``-separated; the sets come back as one canonical stack of
+    shape (len(rngs), len(include) + n, ...), included points first.
+
+    Separation plus the optional conditioning floor on ``cond_kernel``'s
+    merged-set Gram keep projection Gram matrices away from incidental
+    ill-conditioning, so that only the constructed degeneracies can make a
+    verdict non-definite. Each placement slot takes candidates until one
+    passes; a slot that fails ``_SLOT_ATTEMPTS`` draws (a draw skipped for
+    ``min_norm`` counts) restarts the whole set, and ``_MAX_ATTEMPTS``
+    draws in all raise ``ConfigError``.
+
+    Each generator runs its own search (``_separated_sets``), which decides
+    every draw once, on stacked values. Candidates are drawn ahead in blocks
+    (the first holds 2n draws, each later one as many as were drawn before
+    it, up to ``_MAX_BLOCK``), stacked, mapped and screened against the
+    merged set once; after each acceptance only the rest of the block is
+    screened against the new point and its image, and a restart screens it
+    against the included points again, so a dead end or a restart costs no
+    numpy call per draw. One stacked Gram and one ``classify_many`` call
+    decide the conditioning floor for every set still pending, and a set
+    that fails resumes its own search.
+
+    Stream contract: each generator yields, bit for bit, the points of a
+    loop that draws and tests one candidate at a time, and consumes exactly
+    that loop's draws: at return, and on ``ConfigError``, every search
+    rewinds its generator to the start of its block and redraws the draws it
+    consumed there. So each generator ends in the state a one-set call
+    (``_sample_merged``) on it leaves, and none reads past its cap.
+    """
+    searches = [_separated_sets(space, phi, n, min_sep, rng, radius, include, min_norm) for rng in rngs]
+    try:
+        found = [next(search) for search in searches]
+        pending = range(len(found)) if cond_kernel is not None else []
+        while pending:
+            merged = np.stack([found[i][0] for i in pending])
+            verdicts = classify_many(grams(cond_kernel, merged), _CONDITIONING_FLOOR)
+            pending = [i for i, v in zip(pending, verdicts) if not v.is_positive_definite]
+            for i in pending:
+                found[i] = next(searches[i])
+    finally:
+        for search in searches:
+            search.close()
+    return np.stack([points for _, points in found])
+
+
+def _sample_merged(space, phi, n, min_sep, rng, radius=None, include=(), min_norm=0.0, cond_kernel=None) -> list:
+    """The one-generator view of ``_sample_merged_many``, as a point list."""
+    sets = _sample_merged_many(space, phi, n, min_sep, [rng], radius, include, min_norm, cond_kernel)
+    return space.unstack(sets[0])
 
 
 # Projection vectors shorter than this are redrawn.
@@ -365,6 +383,18 @@ def _null_alignment_angle(verdict, direction: np.ndarray) -> float:
     return math.acos(cosine)
 
 
+def _chunks(count: int, size: int):
+    """range(count) in consecutive ranges of at most ``size``."""
+    for start in range(0, count, size):
+        yield range(start, min(start + size, count))
+
+
+# Strictness trials are sampled, assembled and classified this many at a
+# time, so memory stays bounded; the streams and the reports do not depend
+# on it.
+_TRIAL_CHUNK = 50
+
+
 def _rec(name: str, claim: str, passed: bool, **evidence) -> CheckRecord:
     return CheckRecord(name=name, claim=claim, passed=bool(passed), evidence=evidence)
 
@@ -396,14 +426,8 @@ def _witness_record(
     return _rec(name, claim, passed, **{k: evidence[k] for k in keys or evidence})
 
 
-def _projection_strictness_record(
-    cfg: SuiteConfig,
-    cex,
-    min_sep: float,
-    name="projection-strictness",
-    include=(),
-    min_norm: float = 0.0,
-) -> CheckRecord:
+def _projection_strictness_record(cfg: SuiteConfig, cex, min_sep: float, name="projection-strictness",
+                                  include=(), min_norm: float = 0.0) -> CheckRecord:
     claim = (
         "every sampled scalar projection of the grid kernel has a positive "
         "definite Gram matrix on every sampled point set"
@@ -412,28 +436,22 @@ def _projection_strictness_record(
     definite = 0
     worst_ratio = math.inf
     ell = cex.as_matrix.ell
-    for t in range(cfg.trials):
-        pts = _sample_merged(
-            cex.as_matrix.space,
-            cex.map,
-            cfg.n_points - len(list(include)),
-            min_sep,
-            _rng(cfg, 11, t),
-            radius=cfg.radius,
-            include=include,
-            min_norm=min_norm,
-            cond_kernel=cex.base,
+    for trials in _chunks(cfg.trials, _TRIAL_CHUNK):
+        sets = _sample_merged_many(
+            cex.as_matrix.space, cex.map, cfg.n_points - len(include), min_sep, [_rng(cfg, 11, t) for t in trials],
+            radius=cfg.radius, include=include, min_norm=min_norm, cond_kernel=cex.base,
         )
-        vectors = _projection_vectors(_rng(cfg, 12, t), ell, cfg.projection_trials)
-        # Every projection Gram is a sesquilinear contraction of one blocked
-        # Gram: G_v[a, b] = sum_ij conj(v_i) v_j G[i, a, j, b].
-        n = len(pts)
-        blocked = gram(cex.as_matrix, pts).entries.reshape(ell, n, ell, n)
-        grams = np.einsum("vi,iajb,vj->vab", vectors.conj(), blocked, vectors)
-        verdicts = classify_many(grams, cfg.pd_tol)
-        total += len(vectors)
-        definite += sum(v.is_positive_definite for v in verdicts)
-        worst_ratio = min([worst_ratio] + [v.min_eigenvalue / v.scale for v in verdicts if v.scale > 0])
+        n = sets.shape[1]
+        blocked = grams(cex.as_matrix, sets).reshape(len(trials), ell, n, ell, n)
+        for t, trial_blocked in zip(trials, blocked):
+            vectors = _projection_vectors(_rng(cfg, 12, t), ell, cfg.projection_trials)
+            # Every projection Gram is a sesquilinear contraction of one blocked
+            # Gram: G_v[a, b] = sum_ij conj(v_i) v_j G[i, a, j, b].
+            projected = np.einsum("vi,iajb,vj->vab", vectors.conj(), trial_blocked, vectors)
+            verdicts = classify_many(projected, cfg.pd_tol)
+            total += len(vectors)
+            definite += sum(v.is_positive_definite for v in verdicts)
+            worst_ratio = min([worst_ratio] + [v.min_eigenvalue / v.scale for v in verdicts if v.scale > 0])
     return _rec(
         name,
         claim,
@@ -598,16 +616,14 @@ def _suite_dotproduct(cfg: SuiteConfig) -> list[CheckRecord]:
     # Subtracting the value at the origin keeps the kernel strictly positive
     # definite away from the origin.
     shifted_down = OffsetKernel(base, -float(base.eval(origin, origin).real))
-    total = 0
+    total = cfg.trials
     definite = 0
-    for t in range(cfg.trials):
-        pts = _sample_merged(
-            space, None, min(cfg.n_points, 10), min_sep, _rng(cfg, 21, t),
+    for trials in _chunks(cfg.trials, _TRIAL_CHUNK):
+        sets = _sample_merged_many(
+            space, None, min(cfg.n_points, 10), min_sep, [_rng(cfg, 21, t) for t in trials],
             radius=cfg.radius, min_norm=min_sep,
         )
-        verdict = classify(gram(shifted_down, pts), cfg.pd_tol)
-        total += 1
-        definite += int(verdict.is_positive_definite)
+        definite += sum(v.is_positive_definite for v in classify_many(grams(shifted_down, sets), cfg.pd_tol))
     records.append(
         _rec(
             "origin-shift-strictness",
@@ -807,8 +823,7 @@ def _orbit_instance(idx: int, rng: np.random.Generator):
 def _orbit_checks(cfg: SuiteConfig):
     """Every orbit instance of the suite with its oracle split, made
     ``_ORBIT_CHUNK`` instances at a time."""
-    for start in range(0, cfg.orbit_instances, _ORBIT_CHUNK):
-        idxs = range(start, min(start + _ORBIT_CHUNK, cfg.orbit_instances))
+    for idxs in _chunks(cfg.orbit_instances, _ORBIT_CHUNK):
         instances = _orbit_instances(idxs, [_rng(cfg, 31, idx) for idx in idxs])
         yield from zip(instances, _orbit_oracles(instances))
 
@@ -893,7 +908,7 @@ def _random_matrix_spectrum(group: FiniteAbelian, ell: int, rng: np.random.Gener
     if v is not None:
         w = v[0] + 1j * v[1]
         a[split - 1] = np.outer(w, w.conj())
-    return FourierSpectrum(group=group, coefficients=0.5 * (a + a.conj().transpose(0, 2, 1)))
+    return FourierSpectrum(group=group, coefficients=numcore._symmetrized(a))
 
 
 def _suite_abelian_roundtrip(cfg: SuiteConfig) -> list[CheckRecord]:
@@ -954,7 +969,7 @@ def _suite_abelian_strictness(cfg: SuiteConfig) -> list[CheckRecord]:
         else:
             spectrum = _random_matrix_spectrum(group, ell, rng, strict)
         criterion = strict_criterion(spectrum, cfg.strict_tol)
-        verdict = brute_force_strict(spectrum_kernel(spectrum))
+        verdict = brute_force_strict(spectrum_kernel(spectrum), cfg.pd_tol)
         disagreements += not (verdict.is_positive_definite if criterion else verdict.is_degenerate)
         checked[ell] += 1
     return [

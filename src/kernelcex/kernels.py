@@ -4,17 +4,21 @@ The scalar catalog covers the circle kernel exp(cos(theta - vartheta)), the
 Gaussian exp(-sigma ||x - y||^2), the exponential dot-product kernel, the
 torus product kernel, and synthesized kernels on finite abelian groups.
 
-Every kernel has one evaluation path, ``block(X, Y)``: given two stacks of
-canonical points (``Space.stack``) of lengths n and m, it returns the n x m
-matrix of kernel values in one vectorised step. The leaf kernels write their
+Every kernel has one evaluation path, ``block(X, Y)``: given stacks of
+canonical points (``Space.stack``) of shapes ``(..., n, .)`` and
+``(..., m, .)`` under the same leading stack axes, it returns the
+``(..., n, m)`` array of kernel values in one vectorised step, each slice
+equal to the call on that slice bit for bit. The leaf kernels write their
 formula once, on stacks; ``Composed`` maps each stack once with
 ``SymmetryMap.apply_many``; ``OffsetKernel`` and ``ZeroKernel`` shift or
 replace a block. A matrix kernel is a grid of scalar kernels, and its block
-is the grid of entry blocks in coordinate-major layout, with the blocks of
-``ZeroKernel`` entries left zero and never evaluated; so a scalar projection
-K_v is the sesquilinear combination sum_ij conj(v_i) v_j of entry blocks.
-Pointwise ``eval`` is ``block`` on one-point stacks, and ``gram`` is
-``block`` of a stack with itself after one distinctness check.
+is the grid of entry blocks in coordinate-major layout on the last two axes,
+with the blocks of ``ZeroKernel`` entries left zero and never evaluated; so
+a scalar projection K_v is the sesquilinear combination sum_ij conj(v_i) v_j
+of entry blocks. Pointwise ``eval`` is ``block`` on one-point stacks,
+``pair_values`` is ``block`` on a stack of one-point rows, and ``gram``
+(``grams`` on a stack of point sets) is ``block`` of a stack with itself
+after one distinctness check.
 Non-finite kernel values (an overflowing exponential, say) raise
 ``NonFiniteValue``. The declared type of a kernel's ``space`` field (a union
 where it acts on several) is the rule for where it acts; ``check_space``
@@ -38,7 +42,7 @@ from .errors import (
     ZeroVector,
 )
 from .numcore import RESID_TOL, HermitianMatrix
-from .spaces import Circle, ComplexSphere, Euclidean, FiniteAbelian, Space, check_space, paired_diagonal
+from .spaces import Circle, ComplexSphere, Euclidean, FiniteAbelian, Space, check_space
 from .symmetry import SymmetryMap
 
 
@@ -46,6 +50,11 @@ def _finite(values: np.ndarray) -> np.ndarray:
     if not np.isfinite(values).all():
         raise NonFiniteValue("kernel values overflowed or are undefined (NaN or infinity)")
     return values
+
+
+def _stack_shape(space: Space, X) -> tuple[int, ...]:
+    """The stack axes of a point stack: its shape without the point axes."""
+    return X.shape[: X.ndim - space.point_ndim]
 
 
 class ScalarKernel:
@@ -57,7 +66,7 @@ class ScalarKernel:
         check_space(self)
 
     def block(self, X, Y) -> np.ndarray:
-        """Kernel values k(X[a], Y[b]) for two stacks of canonical points."""
+        """Kernel values k(X[..., a], Y[..., b]) for two stacks of canonical points."""
         raise NotImplementedError
 
     def eval(self, x, y) -> complex:
@@ -72,7 +81,7 @@ class CircleExpCos(ScalarKernel):
     space: Circle
 
     def block(self, X, Y) -> np.ndarray:
-        return np.exp(np.cos(X[:, None] - Y[None, :]))
+        return np.exp(np.cos(X[..., :, None] - Y[..., None, :]))
 
 
 @dataclass(frozen=True)
@@ -94,8 +103,8 @@ class Gaussian(ScalarKernel):
     def block(self, X, Y) -> np.ndarray:
         # Differences rather than |x|^2 + |y|^2 - 2<x, y>, which cancels
         # catastrophically for nearby points.
-        d = X[:, None, :] - Y[None, :, :]
-        return np.exp(-self.sigma * np.einsum("abk,abk->ab", d, d))
+        d = X[..., :, None, :] - Y[..., None, :, :]
+        return np.exp(-self.sigma * np.einsum("...abk,...abk->...ab", d, d))
 
 
 @dataclass(frozen=True)
@@ -112,7 +121,7 @@ class DotExp(ScalarKernel):
     shift: float = 0.0
 
     def block(self, X, Y) -> np.ndarray:
-        inner = (X @ Y.conj().T).real
+        inner = (X @ np.swapaxes(Y.conj(), -1, -2)).real
         # An overflow becomes inf here and NonFiniteValue at the caller.
         with np.errstate(over="ignore"):
             return np.exp(self.scale * inner) + self.shift
@@ -129,9 +138,9 @@ class TorusProduct(ScalarKernel):
     space: Circle | Euclidean
 
     def block(self, X, Y) -> np.ndarray:
-        X = X.reshape(len(X), -1)
-        Y = Y.reshape(len(Y), -1)
-        d = X[:, None, :] - Y[None, :, :]
+        if isinstance(self.space, Circle):
+            X, Y = X[..., None], Y[..., None]
+        d = X[..., :, None, :] - Y[..., None, :, :]
         return np.prod(2.0 / (2.0 - np.exp(1j * d)), axis=-1)
 
 
@@ -165,6 +174,14 @@ class GroupFourier(ScalarKernel):
         return self._difference_table[self.space.difference_indices(X, Y)]
 
 
+def _mapped(phi: SymmetryMap | None, X) -> np.ndarray:
+    """The images of a point stack under phi (X itself for None), mapped as one point list."""
+    if phi is None:
+        return X
+    lead = _stack_shape(phi.space, X)
+    return phi.apply_many(X.reshape(-1, *X.shape[len(lead) :])).reshape(X.shape)
+
+
 @dataclass(frozen=True)
 class Composed(ScalarKernel):
     """Base kernel with a map applied to the left and/or right argument."""
@@ -184,9 +201,7 @@ class Composed(ScalarKernel):
         return self.base.space
 
     def block(self, X, Y) -> np.ndarray:
-        X = self.left.apply_many(X) if self.left is not None else X
-        Y = self.right.apply_many(Y) if self.right is not None else Y
-        return self.base.block(X, Y)
+        return self.base.block(_mapped(self.left, X), _mapped(self.right, Y))
 
 
 @dataclass(frozen=True)
@@ -209,7 +224,7 @@ class ZeroKernel(ScalarKernel):
     space: Space
 
     def block(self, X, Y) -> np.ndarray:
-        return np.zeros((len(X), len(Y)))
+        return np.zeros(_stack_shape(self.space, X) + _stack_shape(self.space, Y)[-1:])
 
 
 @dataclass(frozen=True)
@@ -237,14 +252,16 @@ class MatrixKernel:
         object.__setattr__(self, "_live_entries", live)
 
     def block(self, X, Y) -> np.ndarray:
-        """The (ell n) x (ell m) matrix whose block (i, j) is entry (i, j)'s
-        block; the blocks of ``ZeroKernel`` entries stay zero unevaluated."""
-        n, m = len(X), len(Y)
+        """The (..., ell n, ell m) array whose block (i, j) on the last two axes
+        is entry (i, j)'s block; the blocks of ``ZeroKernel`` entries stay zero
+        unevaluated."""
+        *lead, n = _stack_shape(self.space, X)
+        m = _stack_shape(self.space, Y)[-1]
         blocks = [(i, j, entry.block(X, Y)) for i, j, entry in self._live_entries]
         dtype = np.result_type(np.float64, *(b for _, _, b in blocks))
-        out = np.zeros((self.ell * n, self.ell * m), dtype=dtype)
+        out = np.zeros((*lead, self.ell * n, self.ell * m), dtype=dtype)
         for i, j, b in blocks:
-            out[i * n : (i + 1) * n, j * m : (j + 1) * m] = b
+            out[..., i * n : (i + 1) * n, j * m : (j + 1) * m] = b
         return out
 
     def eval(self, x, y) -> np.ndarray:
@@ -271,8 +288,9 @@ class ProjectedKernel(ScalarKernel):
     def block(self, X, Y) -> np.ndarray:
         # sum_ij conj(v_i) v_j K_ij(X, Y), contracted from the grid's block.
         ell = self.matrix.ell
-        blocked = self.matrix.block(X, Y).reshape(ell, len(X), ell, len(Y))
-        return np.einsum("i,iajb,j->ab", self._vec.conj(), blocked, self._vec)
+        *lead, n = _stack_shape(self.space, X)
+        blocked = self.matrix.block(X, Y).reshape(*lead, ell, n, ell, _stack_shape(self.space, Y)[-1])
+        return np.einsum("i,...iajb,j->...ab", self._vec.conj(), blocked, self._vec)
 
 
 def project(kernel: MatrixKernel, v) -> ProjectedKernel:
@@ -294,11 +312,16 @@ def gram(kernel, points) -> HermitianMatrix:
     Gram of grid entry (i, j). Raises ``NonFiniteValue`` when a kernel
     value is NaN or infinite.
     """
-    space = kernel.space
-    X = space.stack(points)
-    if not space.all_distinct(X):
+    return HermitianMatrix(grams(kernel, kernel.space.stack(points)))
+
+
+def grams(kernel, X) -> np.ndarray:
+    """The Gram matrices of a stack of canonical point sets, shape (..., n, .),
+    as one (..., n, n) array (ell n for a matrix kernel), with ``gram``'s
+    checks: pairwise distinct points in every set and finite values."""
+    if not kernel.space.all_distinct(X):
         raise DuplicatePoints("gram needs pairwise distinct points")
-    return HermitianMatrix(_finite(kernel.block(X, X)))
+    return _finite(kernel.block(X, X))
 
 
 @dataclass(frozen=True)
@@ -318,10 +341,9 @@ class InvarianceEvidence:
 
 def pair_values(kernel, X, Y) -> np.ndarray:
     """K(X[p], Y[p]) for every row p of two equally long point stacks, as a
-    (P, ell, ell) array (ell = 1 for a scalar kernel)."""
-    grid = kernel.entries if isinstance(kernel, MatrixKernel) else ((kernel,),)
-    values = np.array([[paired_diagonal(entry.block, X, Y) for entry in row] for row in grid])
-    return _finite(np.moveaxis(values, -1, 0))
+    (P, ell, ell) array (ell = 1 for a scalar kernel): the block of a stack of
+    one-point rows, as ``Space.paired_distances`` measures them."""
+    return _finite(kernel.block(X[:, None], Y[:, None]))
 
 
 def _largest_norm(values: np.ndarray) -> float:

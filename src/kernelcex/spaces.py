@@ -90,6 +90,10 @@ def _as_array(points, dtype, what: str) -> np.ndarray:
 class Space:
     """Base class; concrete spaces are the dataclasses below."""
 
+    # Trailing axes of one canonical point in a stack: 1 for coordinates and
+    # group elements, 0 for circle angles.
+    point_ndim = 1
+
     def __post_init__(self):
         if getattr(self, "dim", 1) < 1:
             raise ConfigError(f"dim: must be at least 1, got {self.dim!r}")
@@ -151,6 +155,8 @@ class Space:
 @dataclass(frozen=True)
 class Circle(Space):
     eq_tol: float = EQ_TOL
+
+    point_ndim = 0
 
     def canonicalize(self, x) -> float:
         try:
@@ -294,10 +300,11 @@ class FiniteAbelian(Space):
         return (X[..., :, None, :] != Y[..., None, :, :]).any(axis=-1).astype(np.float64)
 
     def difference_indices(self, X, Y) -> np.ndarray:
-        """Lexicographic index of X[a] - Y[b] for two stacks of elements,
-        read from a cached (|G|, |G|) table of element differences."""
+        """Lexicographic index of X[..., a] - Y[..., b] for two stacks of elements
+        (over any shared leading axes), read from a cached (|G|, |G|) table of
+        element differences."""
         strides, table = _differences(self)
-        return table[(X @ strides)[:, None], Y @ strides]
+        return table[(X @ strides)[..., :, None], (Y @ strides)[..., None, :]]
 
     def elements(self) -> list[tuple[int, ...]]:
         return [tuple(e) for e in product(*(range(q) for q in self.orders))]
@@ -324,13 +331,6 @@ def _differences(group: FiniteAbelian) -> tuple[np.ndarray, np.ndarray]:
     table = ((elems[:, None] - elems[None]) % np.array(q)) @ strides
     table.setflags(write=False)
     return strides, table
-
-
-def paired_diagonal(pairwise, X, Y) -> np.ndarray:
-    """The diagonal of the matrix ``pairwise(X, Y)`` of two equally long stacks,
-    taken in 64-row square chunks so that work and memory stay linear."""
-    chunks = [np.diagonal(pairwise(X[i : i + 64], Y[i : i + 64])) for i in range(0, len(X), 64)]
-    return np.concatenate([np.zeros(0), *chunks])
 
 
 def _stack_vectors(space, points, dtype) -> np.ndarray:

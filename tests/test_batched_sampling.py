@@ -8,8 +8,12 @@ The sampler, which draws candidates ahead in blocks and decides each draw
 once on stacked values, must return the same points and vectors bit for bit
 and leave the generator in the same state, and with the references patched
 into ``harness`` every continuous suite's JSON report must be byte-identical.
+``_sample_merged_many``, which runs one search per generator and decides
+their conditioning floors together, must return on every generator the set
+of a one-set call on a copy of it, and leave it in the same state.
 """
 
+import copy
 import math
 
 import numpy as np
@@ -24,10 +28,11 @@ from kernelcex.harness import (
     _draw_many,
     _projection_vectors,
     _sample_merged,
+    _sample_merged_many,
     emit_report,
     run_suite,
 )
-from kernelcex.kernels import CircleExpCos, gram
+from kernelcex.kernels import CircleExpCos, DotExp, gram
 from kernelcex.spaces import Circle, ComplexSphere, Euclidean, FiniteAbelian
 from kernelcex.symmetry import CircleRotation, EuclideanScaling
 
@@ -327,6 +332,68 @@ def test_projection_vectors_redraw_only_the_shortfall():
 def test_reports_byte_identical_to_per_draw_code(monkeypatch, suite, seed):
     config = SuiteConfig(suite=suite, seed=seed)
     batched = emit_report(run_suite(config), format="json")
+
+    def many_per_draw(space, phi, n, min_sep, rngs, *args, **kwargs):
+        sets = [_sample_merged_per_draw(space, phi, n, min_sep, rng, *args, **kwargs) for rng in rngs]
+        return np.array([space.stack(pts) for pts in sets])
+
     monkeypatch.setattr(harness, "_sample_merged", _sample_merged_per_draw)
+    monkeypatch.setattr(harness, "_sample_merged_many", many_per_draw)
     monkeypatch.setattr(harness, "_projection_vectors", _projection_vectors_per_draw)
     assert emit_report(run_suite(config), format="json") == batched
+
+
+def _assert_many_matches_one_set_calls(rngs, space, phi, n, min_sep, **kwargs):
+    """Run ``_sample_merged_many`` on rngs and ``_sample_merged`` on copies
+    of them; the sets and the final states must agree."""
+    copies = [copy.deepcopy(rng) for rng in rngs]
+    got = _sample_merged_many(space, phi, n, min_sep, rngs, **kwargs)
+    assert len(got) == len(rngs)
+    for pts, rng, ref_rng in zip(got, rngs, copies):
+        _assert_same_points(space.unstack(pts), _sample_merged(space, phi, n, min_sep, ref_rng, **kwargs))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "space,phi,n,min_sep,kwargs",
+    [
+        (CIRCLE, ROTATION, 8, 0.3, dict(cond_kernel=CircleExpCos(CIRCLE))),
+        (CIRCLE, ROTATION, 9, 0.3, {}),
+        (Euclidean(2), EuclideanScaling(Euclidean(2), 2.0), 7, 0.15,
+         dict(radius=1.0, include=(np.zeros(2),), min_norm=0.15, cond_kernel=DotExp(Euclidean(2)))),
+    ],
+    ids=["circle-floor", "circle-restarts", "plane-origin"],
+)
+def test_many_generators_match_one_set_calls_on_copies(space, phi, n, min_sep, kwargs):
+    rngs = [np.random.default_rng((5, t)) for t in range(7)]
+    _assert_many_matches_one_set_calls(rngs, space, phi, n, min_sep, **kwargs)
+
+
+def test_a_conditioning_floor_restart_inside_a_batch_resumes_its_own_search():
+    # The middle script is the restart case of
+    # test_restart_for_the_conditioning_floor_screens_the_rest_again: its
+    # first set fails the floor and it resumes alone, while the sets of the
+    # other two pass at the first conditioning pass.
+    restart = [0.0, 1.5e-3, 3e-3, 1.6e-3, 2.0, -2.0] + [0.5] * 30
+    rngs = [_ScriptedRng([-1.0, 1.0, 2.5] + [0.5] * 60), _ScriptedRng(restart),
+            _ScriptedRng([2.0, -2.0, 0.7] + [0.5] * 60)]
+    kwargs = dict(cond_kernel=CircleExpCos(CIRCLE))
+    _assert_many_matches_one_set_calls(rngs, CIRCLE, None, 3, 1e-3, **kwargs)
+    assert rngs[1].position == 6
+    got = _sample_merged_many(CIRCLE, None, 3, 1e-3, [_ScriptedRng(restart)], **kwargs)
+    np.testing.assert_array_equal(got, [CIRCLE.stack([1.6e-3, 2.0, -2.0])])
+
+
+def test_config_error_inside_a_batch_reads_no_generator_past_its_cap():
+    # The middle generator never completes its set; it raises after exactly
+    # the capped draws, and no other generator reads more than a one-set
+    # call on it would.
+    scripts = [[1.0] + [0.5] * 30, [0.05] * (200_000 + 500), [-1.0] + [2.0] * 30]
+    rngs = [_ScriptedRng(script) for script in scripts]
+    with pytest.raises(ConfigError, match="min_sep"):
+        _sample_merged_many(CIRCLE, None, 1, 0.3, rngs, include=(0.0,))
+    assert rngs[1].position == 200_000
+    for k in (0, 2):
+        ref_rng = _ScriptedRng(scripts[k])
+        _sample_merged(CIRCLE, None, 1, 0.3, ref_rng, include=(0.0,))
+        assert rngs[k].position in (0, ref_rng.position)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kernelcex.errors import TooLarge, WrongLength
+from kernelcex.errors import NonFiniteValue, TooLarge, WrongLength
 from kernelcex.fourier import (
     FourierSpectrum,
     analyze,
@@ -111,6 +111,27 @@ def test_strict_criterion_examples():
     assert not strict_criterion(FourierSpectrum(group=Z2, coefficients=np.array([1.0, 0.0])))
     eye = np.stack([np.eye(2, dtype=complex)] * 3)
     assert strict_criterion(FourierSpectrum(group=Z3, coefficients=eye))
+
+
+def test_min_coefficient_near_the_float_limit_is_finite_or_fails_closed():
+    # Hermitian parts taken as (A + A^H) / 2 overflow these finite matrices.
+    near = FourierSpectrum(group=Z2, coefficients=np.array([np.diag([1.5e308, 1.0]), np.eye(2)]))
+    assert near.min_coefficient() == 1.0
+    assert strict_criterion(near)
+    # The all-1e308 matrix has the eigenvalue 2e308, beyond the float range.
+    beyond = FourierSpectrum(group=Z2, coefficients=np.array([np.full((2, 2), 1e308), np.eye(2)]))
+    for spectrum in (beyond, FourierSpectrum(group=Z2, coefficients=np.array([np.nan, 1.0]))):
+        with pytest.raises(NonFiniteValue):
+            spectrum.min_coefficient()
+        with pytest.raises(NonFiniteValue):
+            strict_criterion(spectrum)
+
+
+def test_brute_force_strict_classifies_at_its_tolerance():
+    # Coefficients 1 and 1e-6 give a Gram with eigenvalues 2 and 2e-6.
+    spectrum = FourierSpectrum(group=Z2, coefficients=np.array([1.0, 1e-6]))
+    assert brute_force_strict(spectrum_kernel(spectrum)).is_positive_definite
+    assert brute_force_strict(spectrum_kernel(spectrum), tol=1e-3).is_degenerate
 
 
 def test_brute_force_examples():

@@ -70,6 +70,25 @@ def test_abelian_suite_ignores_n_points_beyond_the_group_order():
     assert report.records == run_suite(dataclasses.replace(config, n_points=1)).records
 
 
+def test_abelian_strictness_classifies_at_the_configured_pd_tol():
+    default = run_suite(SuiteConfig(suite="abelian-strictness"))
+    loose = run_suite(SuiteConfig.from_dict({"suite": "abelian-strictness", "pd_tol": 0.99}))
+    assert default.passed
+    assert loose.records != default.records
+    assert loose.records[0].evidence["disagreements"] > 0
+
+
+@pytest.mark.parametrize(
+    "suite", ["circle-example1", "gaussian-example1", "dotproduct-example1", "complex-sphere"]
+)
+def test_reports_do_not_depend_on_the_trial_chunk(monkeypatch, suite):
+    config = SuiteConfig(suite=suite, seed=3, trials=7)
+    want = emit_report(run_suite(config), format="json")
+    for chunk in (1, 3, 20):
+        monkeypatch.setattr(harness, "_TRIAL_CHUNK", chunk)
+        assert emit_report(run_suite(config), format="json") == want
+
+
 def test_run_suite_records_carry_claims():
     report = run_suite(FAST)
     assert report.passed

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from kernelcex.counterexample import build_adjoint, build_unitary
-from kernelcex.errors import DuplicatePoints, MissingAdjoint, ZeroVector
+from kernelcex.counterexample import build_adjoint, build_shifted, build_unitary, embed
+from kernelcex.errors import DuplicatePoints, MissingAdjoint, NonFiniteValue, ZeroVector
 from kernelcex.kernels import (
     CircleExpCos,
     Composed,
@@ -18,6 +18,7 @@ from kernelcex.kernels import (
     check_adjoint_invariance,
     check_unitary_invariance,
     gram,
+    grams,
     pair_values,
     project,
 )
@@ -296,7 +297,7 @@ def _grid_cases():
 @pytest.mark.parametrize(
     "kernel", _grid_cases(), ids=["circle", "gaussian", "dotexp-adjoint", "sphere", "group", "torus-scalar"]
 )
-def test_pair_values_in_chunks_equal_the_full_block_diagonal(kernel):
+def test_pair_values_equal_the_full_block_diagonal(kernel):
     space = kernel.space
     rng = np.random.default_rng(3)
     X, Y = space.stack(space.random_points(rng, 256)), space.stack(space.random_points(rng, 256))
@@ -305,3 +306,64 @@ def test_pair_values_in_chunks_equal_the_full_block_diagonal(kernel):
     got = pair_values(kernel, X, Y)
     assert got.shape == (256, len(grid), len(grid))
     np.testing.assert_array_equal(got, np.moveaxis(full, -1, 0))
+
+
+def _stack_cases():
+    space3 = Euclidean(3)
+    sphere = ComplexSphere(2)
+    group = FiniteAbelian((3, 4))
+    circle_grid = build_unitary(CircleExpCos(CIRCLE), CircleRotation(CIRCLE, 1.0)).as_matrix
+    shift = EuclideanTranslation(space3, (1.0, 0.0, 0.0), adjoint_kind="inverse")
+    return {
+        "circle-exp-cos": CircleExpCos(CIRCLE),
+        "gaussian": Gaussian(space3, sigma=0.7),
+        "dotexp-euclidean": DotExp(PLANE, scale=0.5, shift=1.0),
+        "dotexp-sphere": DotExp(sphere),
+        "torus-circle": TorusProduct(CIRCLE),
+        "torus-euclidean": TorusProduct(PLANE),
+        "group-fourier": GroupFourier(group, tuple(1.0 / (1 + g) + 0.5j * g for g in range(group.order))),
+        "composed": Composed(Gaussian(PLANE), EuclideanScaling(PLANE, 2.0), EuclideanTranslation(PLANE, (0.5, -0.2))),
+        "composed-circle": Composed(CircleExpCos(CIRCLE), None, CircleRotation(CIRCLE, 2.5)),
+        "offset": OffsetKernel(DotExp(PLANE), -1.0),
+        "zero": ZeroKernel(sphere),
+        "projected": project(circle_grid, [1.0, 0.5j]),
+        "circle-grid": circle_grid,
+        "gaussian-grid": build_unitary(Gaussian(space3), shift).as_matrix,
+        "dotproduct-grid": build_shifted(DotExp(PLANE), EuclideanScaling(PLANE, 2.0), np.zeros(2)).as_matrix,
+        "sphere-grid": build_unitary(DotExp(sphere), ComplexSphereRotation(sphere, 1.0)).as_matrix,
+        "padded-grid": embed(circle_grid, 3, CircleExpCos(CIRCLE)),
+        "group-grid": build_unitary(GroupFourier(group, (1.0,) * group.order), GroupTranslation(group, (1, 2))).as_matrix,
+    }
+
+
+STACK_CASES = _stack_cases()
+
+
+def _point_sets(space, rng, lead, n):
+    """Random canonical point sets as one stack with leading axes ``lead``."""
+    X = space.stack(space.random_points(rng, math.prod(lead) * n))
+    return X.reshape(*lead, n, *X.shape[1:])
+
+
+@pytest.mark.parametrize("name", sorted(STACK_CASES))
+def test_block_of_a_stack_equals_the_per_set_blocks(name):
+    kernel = STACK_CASES[name]
+    rng = np.random.default_rng(11)
+    X, Y = _point_sets(kernel.space, rng, (4,), 5), _point_sets(kernel.space, rng, (4,), 3)
+    got = kernel.block(X, Y)
+    want = np.array([kernel.block(Xt, Yt) for Xt, Yt in zip(X, Y)])
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
+    # Two leading axes slice the same way.
+    got2 = kernel.block(X.reshape(2, 2, *X.shape[1:]), Y.reshape(2, 2, *Y.shape[1:]))
+    np.testing.assert_array_equal(got2, got.reshape(2, 2, *got.shape[1:]))
+
+
+def test_grams_applies_the_checks_of_gram_to_every_set():
+    k = CircleExpCos(CIRCLE)
+    X = CIRCLE.stack([0.0, 1.0, 2.0, -1.0, 3.0, -2.5]).reshape(2, 3)
+    np.testing.assert_array_equal(grams(k, X)[1], gram(k, X[1]).entries.real)
+    with pytest.raises(DuplicatePoints):
+        grams(k, CIRCLE.stack([0.0, 1.0, 2.0, 0.5, 1.5, 0.5]).reshape(2, 3))
+    with pytest.raises(NonFiniteValue):
+        grams(DotExp(LINE), np.array([[[1.0], [2.0]], [[30.0], [29.0]]]))
