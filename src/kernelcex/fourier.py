@@ -24,11 +24,12 @@ import numpy as np
 
 from .errors import NonFiniteValue, TooLarge, WrongLength, WrongSpaceKind
 from .kernels import GroupFourier, MatrixKernel, ScalarKernel
-from .numcore import PD_TOL, PDVerdict, _symmetrized, classify_many
-from .spaces import FiniteAbelian
+from .numcore import PD_TOL, PDVerdict, _checked_stack, _symmetrized, classify_many
+from .spaces import FiniteAbelian, _table_elements
 
 STRICT_TOL = 1e-10
 MAX_BRUTE_SIZE = 200
+# A character table is built over at most spaces.MAX_TABLE_ORDER elements.
 
 
 def character(g, x, group: FiniteAbelian) -> complex:
@@ -47,9 +48,10 @@ def character_table(group: FiniteAbelian) -> np.ndarray:
 
     The phase sum_r g_r x_r / q_r is accumulated one coordinate at a time,
     in the order ``character`` sums it, so the table equals ``character``
-    entry for entry and no (|G|, |G|, r) temporary is built.
+    entry for entry and no (|G|, |G|, r) temporary is built. A group of
+    order above ``spaces.MAX_TABLE_ORDER`` raises ``TooLarge``.
     """
-    elems = np.array(group.elements(), dtype=np.int64)
+    elems = _table_elements(group)
     phase = np.zeros((len(elems), len(elems)))
     for r, q in enumerate(group.orders):
         phase += np.outer(elems[:, r], elems[:, r]) / q
@@ -65,7 +67,9 @@ class FourierSpectrum:
     """Coefficient family indexed by group elements in lexicographic order.
 
     Scalar spectra store a real vector of shape (|G|,); matrix spectra
-    store a complex stack of shape (|G|, ell, ell) of Hermitian matrices.
+    store a complex stack of shape (|G|, ell, ell) of Hermitian matrices,
+    and a stack that numcore's Hermitian check refuses (non-finite, or
+    asymmetric beyond ``HERM_TOL`` relative) raises at construction.
     ``analysis_residual`` records how much imaginary (or anti-Hermitian)
     content the analysis discarded; a large value is evidence that the
     analyzed function does not come from a positive definite kernel.
@@ -80,7 +84,7 @@ class FourierSpectrum:
         if coeffs.ndim == 1:
             coeffs = coeffs.astype(np.float64)
         elif coeffs.ndim == 3 and coeffs.shape[1] == coeffs.shape[2]:
-            coeffs = coeffs.astype(np.complex128)
+            coeffs = _checked_stack(coeffs, 3)
         else:
             raise WrongLength(f"coefficients must be (|G|,) or (|G|, ell, ell), got {coeffs.shape}")
         if coeffs.shape[0] != self.group.order:
@@ -164,7 +168,8 @@ def strict_criterion(spectrum: FourierSpectrum, strict_tol: float = STRICT_TOL) 
 
     Scalar spectra must have every coefficient above ``strict_tol``;
     matrix spectra must have the smallest eigenvalue of every coefficient
-    matrix's Hermitian part above ``strict_tol``.
+    matrix's Hermitian part above ``strict_tol``. The threshold is absolute,
+    not relative to the spectrum's scale.
     """
     return spectrum.min_coefficient() > strict_tol
 

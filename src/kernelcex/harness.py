@@ -94,7 +94,9 @@ class SuiteConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SuiteConfig":
-        _refuse_unknown(data, {f.name for f in dataclasses.fields(cls)} | {"schema_version"}, "config")
+        """A validated config; a key other than suite, schema_version and the suite's knobs is refused."""
+        info = _suite_info(data.get("suite"))
+        _refuse_unknown(data, {"suite", "schema_version", *info.knobs}, f"config of suite {info.name}")
         cfg = cls(**{k: v for k, v in data.items() if k != "schema_version"})
         cfg.validate()
         return cfg
@@ -102,8 +104,7 @@ class SuiteConfig:
     def validate(self) -> None:
         """Decode every field but ``suite`` in place by serialize's field rule
         (so ``"trials": 2.0`` is 2), then check the ranges."""
-        if not isinstance(self.suite, str) or self.suite not in SUITES:
-            raise ConfigError(f"suite: unknown suite {self.suite!r}; see list-suites")
+        _suite_info(self.suite)
         types = field_types(SuiteConfig)
         for f in dataclasses.fields(self)[1:]:
             setattr(self, f.name, _field(f.name, types[f.name], getattr(self, f.name)))
@@ -426,8 +427,8 @@ def _witness_record(
     return _rec(name, claim, passed, **{k: evidence[k] for k in keys or evidence})
 
 
-def _projection_strictness_record(cfg: SuiteConfig, cex, min_sep: float, name="projection-strictness",
-                                  include=(), min_norm: float = 0.0) -> CheckRecord:
+def _projection_strictness_record(cfg: SuiteConfig, cex, min_sep: float, radius: float | None,
+                                  name="projection-strictness", include=(), min_norm: float = 0.0) -> CheckRecord:
     claim = (
         "every sampled scalar projection of the grid kernel has a positive "
         "definite Gram matrix on every sampled point set"
@@ -439,7 +440,7 @@ def _projection_strictness_record(cfg: SuiteConfig, cex, min_sep: float, name="p
     for trials in _chunks(cfg.trials, _TRIAL_CHUNK):
         sets = _sample_merged_many(
             cex.as_matrix.space, cex.map, cfg.n_points - len(include), min_sep, [_rng(cfg, 11, t) for t in trials],
-            radius=cfg.radius, include=include, min_norm=min_norm, cond_kernel=cex.base,
+            radius=radius, include=include, min_norm=min_norm, cond_kernel=cex.base,
         )
         n = sets.shape[1]
         blocked = grams(cex.as_matrix, sets).reshape(len(trials), ell, n, ell, n)
@@ -508,13 +509,13 @@ def _proof_structure_record(cfg: SuiteConfig, cex, pts) -> CheckRecord:
 
 
 def _unitary_example_records(
-    cfg: SuiteConfig, cex, generators, witness_x, min_sep: float
+    cfg: SuiteConfig, cex, generators, witness_x, min_sep: float, radius: float | None = None
 ) -> list[CheckRecord]:
     space = cex.as_matrix.space
     rng = _rng(cfg, 1)
-    probes = space.unstack(space.stack(_draw_many(space, rng, cfg.radius, 8)))
+    probes = space.unstack(space.stack(_draw_many(space, rng, radius, 8)))
     records = _hypothesis_records(cfg, cex.map, generators, probes)
-    pairs = _probe_pairs(space, _rng(cfg, 2), cfg.probes, cfg.radius)
+    pairs = _probe_pairs(space, _rng(cfg, 2), cfg.probes, radius)
     inv = check_unitary_invariance(cex.as_matrix, generators, pairs, tol=cfg.resid_tol)
     records.append(
         _rec(
@@ -528,9 +529,9 @@ def _unitary_example_records(
         )
     )
     records.append(_witness_record(cfg, cex, witness_x))
-    structure_pts = _sample_merged(space, cex.map, 4, min_sep, _rng(cfg, 3), radius=cfg.radius)
+    structure_pts = _sample_merged(space, cex.map, 4, min_sep, _rng(cfg, 3), radius=radius)
     records.append(_proof_structure_record(cfg, cex, structure_pts))
-    records.append(_projection_strictness_record(cfg, cex, min_sep))
+    records.append(_projection_strictness_record(cfg, cex, min_sep, radius))
     return records
 
 
@@ -559,11 +560,10 @@ def _suite_gaussian(cfg: SuiteConfig) -> list[CheckRecord]:
         EuclideanTranslation(space, tuple(rng.uniform(-1.0, 1.0, 3)), adjoint_kind="inverse")
         for _ in range(10)
     ]
-    if cfg.radius is None:
-        cfg = dataclasses.replace(cfg, radius=1.5)
+    radius = cfg.radius if cfg.radius is not None else 1.5
     min_sep = cfg.min_sep if cfg.min_sep is not None else _EUCLIDEAN_SEP
-    records = _unitary_example_records(cfg, cex, generators, np.zeros(3), min_sep)
-    pairs = _probe_pairs(space, _rng(cfg, 4), 16, cfg.radius)
+    records = _unitary_example_records(cfg, cex, generators, np.zeros(3), min_sep, radius)
+    pairs = _probe_pairs(space, _rng(cfg, 4), 16, radius)
     adj = check_adjoint_invariance(base, generators, pairs, tol=cfg.resid_tol)
     records.append(
         _rec(
@@ -585,17 +585,16 @@ def _suite_dotproduct(cfg: SuiteConfig) -> list[CheckRecord]:
     origin = np.zeros(2)
     shifted = build_shifted(base, phi, origin)
     adjoint_cex = build_adjoint(base, phi)
-    if cfg.radius is None:
-        cfg = dataclasses.replace(cfg, radius=1.0)
+    radius = cfg.radius if cfg.radius is not None else 1.0
     min_sep = cfg.min_sep if cfg.min_sep is not None else 0.15
 
     rng = _rng(cfg, 0)
-    probes = space.unstack(space.stack(_draw_many(space, rng, cfg.radius, 8)))
+    probes = space.unstack(space.stack(_draw_many(space, rng, radius, 8)))
     probes = [p for p in probes if np.linalg.norm(p) > 0.05] or [np.array([1.0, 0.0])]
     generators = [EuclideanScaling(space, float(r)) for r in rng.uniform(0.5, 2.0, 4)]
     records = _hypothesis_records(cfg, phi, generators, probes)
 
-    pairs = _probe_pairs(space, _rng(cfg, 2), cfg.probes, cfg.radius)
+    pairs = _probe_pairs(space, _rng(cfg, 2), cfg.probes, radius)
     adj = check_adjoint_invariance(shifted.as_matrix, generators, pairs, tol=cfg.resid_tol)
     records.append(
         _rec(
@@ -621,7 +620,7 @@ def _suite_dotproduct(cfg: SuiteConfig) -> list[CheckRecord]:
     for trials in _chunks(cfg.trials, _TRIAL_CHUNK):
         sets = _sample_merged_many(
             space, None, min(cfg.n_points, 10), min_sep, [_rng(cfg, 21, t) for t in trials],
-            radius=cfg.radius, min_norm=min_sep,
+            radius=radius, min_norm=min_sep,
         )
         definite += sum(v.is_positive_definite for v in classify_many(grams(shifted_down, sets), cfg.pd_tol))
     records.append(
@@ -640,6 +639,7 @@ def _suite_dotproduct(cfg: SuiteConfig) -> list[CheckRecord]:
             cfg,
             shifted,
             min_sep,
+            radius,
             name="projection-strictness-with-origin",
             include=(origin,),
             min_norm=min_sep,
@@ -1091,9 +1091,16 @@ def _suite_negative_controls(cfg: SuiteConfig) -> list[CheckRecord]:
 
 @dataclass(frozen=True)
 class SuiteInfo:
+    """A shipped suite; ``knobs`` names the ``SuiteConfig`` fields its builder reads."""
+
     name: str
     description: str
     builder: object
+    knobs: tuple[str, ...]
+
+
+# The knobs of the suites that sample point sets for strictness records.
+_SAMPLING = ("seed", "n_points", "trials", "projection_trials", "min_sep", "m_max", "probes", "pd_tol", "resid_tol")
 
 
 SUITES: dict[str, SuiteInfo] = {
@@ -1103,58 +1110,64 @@ SUITES: dict[str, SuiteInfo] = {
             "circle-example1",
             "rotation-built grid kernel on the circle: invariance, degeneracy "
             "witness, and strict projections",
-            _suite_circle,
+            _suite_circle, _SAMPLING,
         ),
         SuiteInfo(
             "gaussian-example1",
             "translation-built grid kernel on R^3 with the Gaussian base: "
             "invariance, witness, strict projections",
-            _suite_gaussian,
+            _suite_gaussian, _SAMPLING + ("radius",),
         ),
         SuiteInfo(
             "dotproduct-example1",
             "scaling-built grid kernel on R^2 with the exponential dot-product "
             "base, shifted to include the origin",
-            _suite_dotproduct,
+            _suite_dotproduct, _SAMPLING + ("radius",),
         ),
         SuiteInfo(
             "orbit-decomposition",
             "orbit split of point lists under translation, scaling, and rotation "
             "maps against a brute-force oracle",
-            _suite_orbit,
+            _suite_orbit, ("seed", "orbit_instances"),
         ),
         SuiteInfo(
             "abelian-roundtrip",
             "coefficient analysis and synthesis on finite abelian groups: "
             "roundtrip, identity sum, character orthogonality",
-            _suite_abelian_roundtrip,
+            _suite_abelian_roundtrip, ("seed", "group", "spectra"),
         ),
         SuiteInfo(
             "abelian-strictness",
             "coefficient positivity versus full-group Gram invertibility for "
             "scalar and matrix coefficient families",
-            _suite_abelian_strictness,
+            _suite_abelian_strictness, ("seed", "spectra", "pd_tol", "strict_tol"),
         ),
         SuiteInfo(
             "embed-check",
             "padding a 2x2 grid kernel to 3x3 with a strictly positive filler "
             "preserves projections and degeneracy",
-            _suite_embed,
+            _suite_embed, ("seed", "pd_tol", "resid_tol"),
         ),
         SuiteInfo(
             "complex-sphere",
             "unit-scalar rotations on the complex sphere: aperiodicity, "
             "invariance, witness, strict projections",
-            _suite_complex_sphere,
+            _suite_complex_sphere, _SAMPLING,
         ),
         SuiteInfo(
             "negative-controls",
             "periodic and non-injective maps produce degenerate projections "
             "(recorded as observations)",
-            _suite_negative_controls,
+            _suite_negative_controls, ("seed", "m_max", "pd_tol"),
         ),
     ]
 }
+
+
+def _suite_info(name) -> SuiteInfo:
+    if not isinstance(name, str) or name not in SUITES:
+        raise ConfigError(f"suite: unknown suite {name!r}; see list-suites")
+    return SUITES[name]
 
 
 def list_suites() -> list[tuple[str, str]]:

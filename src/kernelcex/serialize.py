@@ -298,10 +298,13 @@ def _to_json(value):
 
 
 def _refuse_unknown(doc: dict, known, what: str) -> None:
-    """Refuse, by name, every key of ``doc`` that is not in ``known``."""
+    """Refuse, by name, every key of ``doc`` that is not in ``known``, and a
+    ``schema_version`` other than ``SCHEMA_VERSION``."""
     unknown = [k for k in doc if k not in known]
     if unknown:
         raise ConfigError(f"{what}: unknown keys {unknown}")
+    if "schema_version" in doc and _field("schema_version", int, doc["schema_version"]) != SCHEMA_VERSION:
+        raise ConfigError(f"schema_version: expected {SCHEMA_VERSION}, got {doc['schema_version']!r}")
 
 
 def _from_fields(cls, doc: dict, tag: str | None = None, **given):

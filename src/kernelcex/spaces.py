@@ -36,6 +36,7 @@ from .errors import (
     ExhaustedSampling,
     NonFiniteValue,
     SpaceMismatch,
+    TooLarge,
     TooManyPoints,
     WrongSpaceKind,
 )
@@ -43,6 +44,9 @@ from .errors import (
 EQ_TOL = 1e-9
 MIN_SEP = 1e-3
 UNIT_NORM_TOL = 1e-12
+# The largest group order over which a (|G|, |G|) table (characters, element
+# differences) is built; its complex character table takes 256 MiB.
+MAX_TABLE_ORDER = 4096
 
 _TWO_PI = 2.0 * math.pi
 
@@ -322,12 +326,21 @@ class FiniteAbelian(Space):
         return np.array(draws, dtype=np.int64).reshape(k, len(self.orders))
 
 
+def _table_elements(group: FiniteAbelian) -> np.ndarray:
+    """The elements as one (|G|, r) int64 array, the rows and columns of a
+    (|G|, |G|) table; an order above ``MAX_TABLE_ORDER`` raises ``TooLarge``
+    before any element is listed."""
+    if group.order > MAX_TABLE_ORDER:
+        raise TooLarge(f"a table over a group of order {group.order} exceeds the {MAX_TABLE_ORDER} cap")
+    return np.array(group.elements(), dtype=np.int64)
+
+
 @lru_cache(maxsize=32)
 def _differences(group: FiniteAbelian) -> tuple[np.ndarray, np.ndarray]:
     """Strides of the lexicographic order and the index table of e_a - e_b."""
     q = group.orders
     strides = np.array([math.prod(q[r + 1 :]) for r in range(len(q))], dtype=np.int64)
-    elems = np.array(group.elements(), dtype=np.int64)
+    elems = _table_elements(group)
     table = ((elems[:, None] - elems[None]) % np.array(q)) @ strides
     table.setflags(write=False)
     return strides, table
@@ -357,7 +370,7 @@ def sample_distinct(space: Space, n: int, min_sep: float = MIN_SEP, seed=None) -
     ignored; on continuous spaces a bounded rejection loop is used.
     """
     if n < 0:
-        raise ValueError("n must be nonnegative")
+        raise ConfigError(f"n: must be nonnegative, got {n}")
     rng = np.random.default_rng(seed)
     if isinstance(space, FiniteAbelian):
         if n > space.order:
@@ -366,7 +379,7 @@ def sample_distinct(space: Space, n: int, min_sep: float = MIN_SEP, seed=None) -
         picks = rng.permutation(space.order)[:n]
         return [elems[i] for i in picks]
     if min_sep <= space.eq_tol:
-        raise ValueError("min_sep must exceed the space's eq_tol")
+        raise ConfigError(f"min_sep: must exceed the space's eq_tol {space.eq_tol}, got {min_sep}")
     points: list = []
     attempts = 0
     budget = 1000 * max(n, 1)

@@ -316,8 +316,28 @@ def test_verify_negative_seed_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("group", [[], 5, [1]])
 def test_verify_empty_group_exits_2(tmp_path, capsys, group):
-    config = _write(tmp_path, "cfg.json", {"group": group, "n_points": 1})
+    config = _write(tmp_path, "cfg.json", {"group": group})
     _exits_2(capsys, ["verify", "abelian-roundtrip", "--config", config], "group")
+
+
+@pytest.mark.parametrize(
+    "argv, files",
+    [
+        (["fourier", "analyze", "--group", "4097", "--input", "{f}"], {"f": [1.0] * 4097}),
+        (["verify", "abelian-roundtrip", "--config", "{f}"], {"f": {"group": [1000, 1000]}}),
+    ],
+    ids=["analyze", "verify"],
+)
+def test_a_group_over_the_table_cap_exits_2(tmp_path, capsys, argv, files):
+    paths = {"{" + name + "}": _write(tmp_path, f"{name}.json", payload) for name, payload in files.items()}
+    _exits_2(capsys, [paths.get(arg, arg) for arg in argv], "exceeds the 4096 cap")
+
+
+def test_synthesize_a_non_hermitian_matrix_spectrum_exits_2(tmp_path, capsys):
+    # The coefficient [[1, 5i], [0, 1]] as [re, im] pairs.
+    spectrum = {"coefficients": [[[[1, 0], [0, 5]], [[0, 0], [1, 0]]], [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]]}
+    _exits_2(capsys, ["fourier", "synthesize", "--group", "2", "--input", _write(tmp_path, "s.json", spectrum)],
+             "asymmetry")
 
 
 def test_gram_with_non_integral_group_points_exits_2(tmp_path, capsys):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kernelcex.errors import NonFiniteValue, TooLarge, WrongLength
+from kernelcex.errors import NonFiniteValue, NonHermitianInput, TooLarge, WrongLength
 from kernelcex.fourier import (
     FourierSpectrum,
     analyze,
@@ -125,6 +125,21 @@ def test_min_coefficient_near_the_float_limit_is_finite_or_fails_closed():
             spectrum.min_coefficient()
         with pytest.raises(NonFiniteValue):
             strict_criterion(spectrum)
+
+
+def test_a_non_hermitian_matrix_spectrum_is_refused_at_construction():
+    coefficients = np.array([[[1.0, 5j], [0.0, 1.0]], np.eye(2)])
+    with pytest.raises(NonHermitianInput):
+        FourierSpectrum(group=Z2, coefficients=coefficients)
+    # Rounding-level asymmetry, as analysis leaves it, is accepted.
+    coefficients[0, 0, 1], coefficients[0, 1, 0] = 0.5 + 1e-14j, 0.5
+    assert FourierSpectrum(group=Z2, coefficients=coefficients).min_coefficient() == pytest.approx(0.5)
+
+
+def test_a_character_table_over_the_cap_fails_closed():
+    with pytest.raises(TooLarge, match="order 1000000 exceeds the 4096 cap"):
+        character_table(FiniteAbelian((1000, 1000)))
+    assert character_table(FiniteAbelian((16, 16))).shape == (256, 256)
 
 
 def test_brute_force_strict_classifies_at_its_tolerance():

@@ -1,11 +1,11 @@
 import collections
-import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from kernelcex import counterexample, harness
+from kernelcex.cli import main
 from kernelcex.counterexample import build_shifted, build_unitary
 from kernelcex.errors import ConfigError
 from kernelcex.kernels import CircleExpCos, DotExp
@@ -61,13 +61,13 @@ def test_negative_seed_rejected():
     SuiteConfig.from_dict({"suite": "negative-controls", "seed": 0})
 
 
-def test_abelian_suite_ignores_n_points_beyond_the_group_order():
-    # No abelian suite reads n_points, so it is not checked against the group order.
-    config = SuiteConfig.from_dict({"suite": "abelian-roundtrip", "group": [2, 3]})
-    assert config.n_points > 6
-    report = run_suite(config)
-    assert report.passed
-    assert report.records == run_suite(dataclasses.replace(config, n_points=1)).records
+def test_abelian_suite_refuses_n_points(tmp_path, capsys):
+    # No abelian suite reads n_points, so a config that sets it is refused.
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"group": [2, 3], "n_points": 1}))
+    assert main(["verify", "abelian-roundtrip", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert "abelian-roundtrip" in err and "unknown keys ['n_points']" in err
 
 
 def test_abelian_strictness_classifies_at_the_configured_pd_tol():

@@ -13,7 +13,7 @@ import pytest
 from kernelcex import serialize
 from kernelcex.cli import main
 from kernelcex.errors import ConfigError
-from kernelcex.harness import SuiteConfig
+from kernelcex.harness import SUITES, SuiteConfig
 from kernelcex.spaces import Circle, ComplexSphere, Euclidean, FiniteAbelian
 
 # (id, value, the field types that refuse it). An integral float is an
@@ -48,7 +48,9 @@ SHIFTED_DOT = {
 }
 
 
-def _config(field, value, suite="negative-controls"):
+def _config(field, value):
+    """A config that sets ``field`` on the first suite that reads it."""
+    suite = next(name for name, info in SUITES.items() if field in info.knobs)
     return SuiteConfig.from_dict({"suite": suite, field: value})
 
 
@@ -68,7 +70,7 @@ DECODER_SITES = {
         f"SuiteConfig.from_dict-{name}": (float, name, lambda v, name=name: _config(name, v))
         for name in ("min_sep", "radius", "pd_tol", "resid_tol", "strict_tol")
     },
-    "SuiteConfig.from_dict-group": (int, "group", lambda v: _config("group", [2, v], "abelian-roundtrip")),
+    "SuiteConfig.from_dict-group": (int, "group", lambda v: _config("group", [2, v])),
     "space_from_json-dim": (int, "dim", lambda v: serialize.space_from_json({"kind": "euclidean", "dim": v})),
     "space_from_json-orders": (
         int, "orders", lambda v: serialize.space_from_json({"kind": "finite_abelian", "orders": [v, 3]})
@@ -164,9 +166,9 @@ def test_each_site_takes_a_well_formed_number(site_id):
 
 
 def test_an_integral_float_is_an_integer_everywhere():
-    config = SuiteConfig.from_dict({"suite": "abelian-roundtrip", "trials": 2.0, "seed": 7.0, "group": [2.0, 3]})
-    assert config == SuiteConfig(suite="abelian-roundtrip", trials=2, seed=7, group=(2, 3))
-    assert type(config.trials) is int and type(config.seed) is int
+    config = SuiteConfig.from_dict({"suite": "abelian-roundtrip", "spectra": 2.0, "seed": 7.0, "group": [2.0, 3]})
+    assert config == SuiteConfig(suite="abelian-roundtrip", spectra=2, seed=7, group=(2, 3))
+    assert type(config.spectra) is int and type(config.seed) is int
     assert serialize.counterexample_from_json({**CIRCLE_GRID, "ell": 3.0}).as_matrix.ell == 3
     assert serialize.spectrum_from_json({"group": [2.0], "coefficients": [1, 0.5]}).group == FiniteAbelian((2,))
     assert serialize.point_from_json(FiniteAbelian((2, 3)), [1.0, 5]) == (1, 2)
@@ -175,7 +177,7 @@ def test_an_integral_float_is_an_integer_everywhere():
 
 def test_a_lone_number_for_a_config_group_is_a_config_error():
     with pytest.raises(ConfigError, match="group"):
-        _config("group", 6, "abelian-roundtrip")
+        _config("group", 6)
 
 
 GRAM = ["gram", "--kernel", "{k}", "--points", "{p}"]
@@ -185,7 +187,7 @@ SYNTHESIZE = ["fourier", "synthesize", "--group", "2", "--input", "{s}"]
 # id -> (field type, the field its error names, argv with {file} placeholders,
 # the files given the value v, a well-formed value).
 CLI_SITES = {
-    "verify-trials": (int, "trials", ["verify", "negative-controls", "--config", "{c}"],
+    "verify-trials": (int, "trials", ["verify", "circle-example1", "--config", "{c}"],
                       lambda v: {"c": {"trials": v}}, 1),
     "verify-pd_tol": (float, "pd_tol", ["verify", "negative-controls", "--config", "{c}"],
                       lambda v: {"c": {"pd_tol": v}}, 1e-10),

@@ -228,8 +228,8 @@ def test_a_tolerance_outside_the_unit_interval_is_refused_naming_its_field(tol, 
         classify_many([np.eye(2)], tol)
     for name in ("pd_tol", "resid_tol"):
         with pytest.raises(ConfigError, match=f"^{name}: "):
-            SuiteConfig.from_dict({"suite": "negative-controls", name: tol})
+            SuiteConfig.from_dict({"suite": "embed-check", name: tol})
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({name: tol}))
-        assert main(["verify", "negative-controls", "--config", str(config)]) == 2
+        assert main(["verify", "embed-check", "--config", str(config)]) == 2
         assert f"config error: {name}: " in capsys.readouterr().err

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kernelcex.errors import SpaceMismatch, TooManyPoints, WrongSpaceKind
+from kernelcex.errors import ConfigError, SpaceMismatch, TooLarge, TooManyPoints, WrongSpaceKind
 from kernelcex.spaces import (
+    MAX_TABLE_ORDER,
     Circle,
     ComplexSphere,
     Euclidean,
@@ -71,6 +72,24 @@ def test_sample_circle_min_sep():
     for i in range(10):
         for j in range(i + 1, 10):
             assert s.distance(pts[i], pts[j]) > 0.05
+
+
+@pytest.mark.parametrize(
+    "space, n, min_sep, field",
+    [(Circle(), -1, 0.1, "n"), (FiniteAbelian((2, 3)), -1, 0.1, "n"),
+     (Circle(), 2, 0.0, "min_sep"), (Euclidean(2), 2, -1.0, "min_sep")],
+)
+def test_sample_distinct_refuses_a_bad_request_naming_its_field(space, n, min_sep, field):
+    with pytest.raises(ConfigError, match=f"^{field}: "):
+        sample_distinct(space, n, min_sep=min_sep, seed=0)
+
+
+def test_a_difference_table_over_the_cap_fails_closed():
+    big = FiniteAbelian((1000, 1000))
+    with pytest.raises(TooLarge, match=f"order 1000000 exceeds the {MAX_TABLE_ORDER} cap"):
+        big.difference_indices(big.stack([(0, 1)]), big.stack([(2, 3)]))
+    small = FiniteAbelian((16, 16))
+    assert small.difference_indices(small.stack([(0, 1)]), small.stack([(2, 3)])).tolist() == [[14 * 16 + 14]]
 
 
 def test_sample_single_point_is_vacuously_distinct():

@@ -1,7 +1,9 @@
 """One table of documents with a key that names no field, run through every
 public decoder and through the CLI commands that read documents. Each is a
 ``ConfigError`` (exit 2 on the CLI) whose message names the key, so that a
-misspelled field never yields a verdict for a different object."""
+misspelled field never yields a verdict for a different object. A
+``schema_version`` other than the one kernelcex writes is refused the same
+way, by name."""
 
 import contextlib
 import io
@@ -13,6 +15,7 @@ from kernelcex import serialize
 from kernelcex.cli import main
 from kernelcex.errors import ConfigError
 from kernelcex.harness import SuiteConfig
+from kernelcex.serialize import SCHEMA_VERSION
 
 CIRCLE = {"kind": "circle"}
 LINE = {"kind": "euclidean", "dim": 1}
@@ -38,6 +41,7 @@ DECODERS = {
     "kernel": (serialize.kernel_from_json, {**CIRCLE_GRID, "orign": 0.0}, "orign"),
     "spectrum": (serialize.spectrum_from_json, {**SPECTRUM, "residual": 0.0}, "residual"),
     "suite-config": (SuiteConfig.from_dict, {"suite": "negative-controls", "pd_toll": 1e-9}, "pd_toll"),
+    "spectrum-schema_version": (serialize.spectrum_from_json, {**SPECTRUM, "schema_version": 99}, "schema_version"),
 }
 
 GRAM = ["gram", "--kernel", "{k}", "--points", "{p}"]
@@ -50,14 +54,24 @@ COMMANDS = {
     "synthesize": (["fourier", "synthesize", "--group", "2", "--input", "{s}"],
                    {"s": {**SPECTRUM, "coefficient": [1.0]}}, "coefficient"),
     "verify-config": (["verify", "negative-controls", "--config", "{c}"], {"c": {"trails": 1}}, "trails"),
+    "verify-schema_version": (["verify", "negative-controls", "--config", "{c}"],
+                              {"c": {"schema_version": 99}}, "schema_version"),
 }
+
+
+def _refusal(key):
+    """The message fragment that names the refused key."""
+    if key == "schema_version":
+        return f"schema_version: expected {SCHEMA_VERSION}, got 99"
+    return f"unknown keys ['{key}']"
 
 
 @pytest.mark.parametrize("site_id", DECODERS)
 def test_a_decoder_refuses_an_unknown_key_by_name(site_id):
     decode, doc, key = DECODERS[site_id]
-    with pytest.raises(ConfigError, match=f"unknown keys .*'{key}'"):
+    with pytest.raises(ConfigError) as info:
         decode(doc)
+    assert _refusal(key) in str(info.value)
 
 
 @pytest.mark.parametrize("site_id", COMMANDS)
@@ -72,4 +86,4 @@ def test_a_command_exits_2_naming_an_unknown_key(tmp_path, site_id):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main([paths.get(arg, arg) for arg in argv])
     assert code == 2
-    assert f"unknown keys ['{key}']" in err.getvalue()
+    assert _refusal(key) in err.getvalue()
