@@ -52,7 +52,6 @@ from .spaces import (
     Euclidean,
     FiniteAbelian,
     Space,
-    group_elements,
     sample_distinct,
 )
 from .symmetry import (

@@ -69,7 +69,9 @@ class FourierSpectrum:
     Scalar spectra store a real vector of shape (|G|,); matrix spectra
     store a complex stack of shape (|G|, ell, ell) of Hermitian matrices,
     and a stack that numcore's Hermitian check refuses (non-finite, or
-    asymmetric beyond ``HERM_TOL`` relative) raises at construction.
+    asymmetric beyond ``HERM_TOL`` relative) raises at construction. A
+    complex scalar vector is checked as a stack of 1 x 1 matrices, so a
+    coefficient with an imaginary part raises rather than being dropped.
     ``analysis_residual`` records how much imaginary (or anti-Hermitian)
     content the analysis discarded; a large value is evidence that the
     analyzed function does not come from a positive definite kernel.
@@ -82,6 +84,8 @@ class FourierSpectrum:
     def __post_init__(self):
         coeffs = np.asarray(self.coefficients)
         if coeffs.ndim == 1:
+            if np.iscomplexobj(coeffs):
+                coeffs = _checked_stack(coeffs[:, None, None], 3)[:, 0, 0].real
             coeffs = coeffs.astype(np.float64)
         elif coeffs.ndim == 3 and coeffs.shape[1] == coeffs.shape[2]:
             coeffs = _checked_stack(coeffs, 3)

@@ -103,11 +103,14 @@ class SuiteConfig:
 
     def validate(self) -> None:
         """Decode every field but ``suite`` in place by serialize's field rule
-        (so ``"trials": 2.0`` is 2), then check the ranges."""
-        _suite_info(self.suite)
+        (so ``"trials": 2.0`` is 2), refuse a field outside the suite's knobs
+        that differs from its default, then check the ranges."""
+        info = _suite_info(self.suite)
         types = field_types(SuiteConfig)
         for f in dataclasses.fields(self)[1:]:
             setattr(self, f.name, _field(f.name, types[f.name], getattr(self, f.name)))
+            if f.name not in info.knobs and getattr(self, f.name) != f.default:
+                raise ConfigError(f"config of suite {info.name}: {f.name} is not one of its knobs")
         if self.seed < 0:
             raise ConfigError(f"seed: must be nonnegative, got {self.seed}")
         for name in ("n_points", "trials", "projection_trials", "m_max", "probes",
@@ -141,15 +144,6 @@ class CheckRecord:
             "evidence": self.evidence,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "CheckRecord":
-        return cls(
-            name=data["name"],
-            claim=data["claim"],
-            passed=bool(data["passed"]),
-            evidence=dict(data.get("evidence", {})),
-        )
-
 
 @dataclass
 class SuiteReport:
@@ -170,19 +164,12 @@ class SuiteReport:
             "records": [r.to_dict() for r in self.records],
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "SuiteReport":
-        return cls(
-            suite=data["suite"],
-            records=[CheckRecord.from_dict(r) for r in data["records"]],
-            environment=dict(data.get("environment", {})),
-        )
-
 
 def _rng(cfg: SuiteConfig, *key: int) -> np.random.Generator:
     return np.random.default_rng((cfg.seed,) + key)
 
 
+# No program path calls _draw; bench/tracing.py keeps it by counting its calls.
 def _draw(space: Space, rng: np.random.Generator, radius: float | None):
     if isinstance(space, Euclidean) and radius is not None:
         return rng.uniform(-radius, radius, space.dim)
@@ -733,11 +720,6 @@ def _orbit_oracles(instances):
     return out
 
 
-def _orbit_oracle(phi: SymmetryMap, pts):
-    """The one-instance view of ``_orbit_oracles``."""
-    return _orbit_oracles([(phi, pts)])[0]
-
-
 def _orbit_setup(idx: int, rng: np.random.Generator):
     """An instance's map, its point count and its seeder of fresh points."""
     family = idx % 3
@@ -813,11 +795,6 @@ def _orbit_instances(idxs, rngs):
                 count[i] += 1
             live[space] = [i for i in members if count[i] < setups[i][1] and guard[i] < 500]
     return [(phi, points[phi.space][row[i], : count[i]]) for i, (phi, _, _) in enumerate(setups)]
-
-
-def _orbit_instance(idx: int, rng: np.random.Generator):
-    """The one-instance view of ``_orbit_instances``."""
-    return _orbit_instances([idx], [rng])[0]
 
 
 def _orbit_checks(cfg: SuiteConfig):

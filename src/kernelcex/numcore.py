@@ -53,9 +53,6 @@ class HermitianMatrix:
     def dim(self) -> int:
         return self.entries.shape[0]
 
-    def symmetrized(self) -> np.ndarray:
-        return _symmetrized(self.entries)
-
 
 @dataclass(frozen=True)
 class PDVerdict:
@@ -85,7 +82,8 @@ class PDVerdict:
 
 def _checked_stack(matrices, ndim: int) -> np.ndarray:
     """Square complex matrices (ndim 2) or a stack of them (ndim 3), each
-    finite and Hermitian up to ``HERM_TOL`` times its largest entry."""
+    finite and Hermitian up to ``HERM_TOL`` times its largest entry; a
+    refusal of a stack names the first offending matrix by its index."""
     arr = np.array(matrices, dtype=np.complex128)
     if arr.ndim != ndim or arr.shape[-1] != arr.shape[-2] or arr.shape[-1] < 1:
         raise DimensionMismatch(f"expected {'a stack of ' if ndim == 3 else 'a '}square "
@@ -97,8 +95,9 @@ def _checked_stack(matrices, ndim: int) -> np.ndarray:
     bad = np.ravel(asym > HERM_TOL * np.maximum(entry_scale, 1e-300))
     if bad.any():
         i = int(np.argmax(bad))
+        where = f"matrix {i}: " if ndim == 3 else ""
         raise NonHermitianInput(
-            f"asymmetry {np.ravel(asym)[i]:.3e} exceeds {HERM_TOL:.1e} * scale "
+            f"{where}asymmetry {np.ravel(asym)[i]:.3e} exceeds {HERM_TOL:.1e} * scale "
             f"{np.ravel(entry_scale)[i]:.3e}"
         )
     return arr

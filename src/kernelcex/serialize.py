@@ -42,7 +42,7 @@ from .counterexample import (
     build_unitary,
     embed,
 )
-from .errors import ConfigError
+from .errors import ConfigError, NonHermitianInput
 from .fourier import FourierSpectrum
 from .kernels import (
     CircleExpCos,
@@ -448,11 +448,11 @@ def spectrum_from_json(data: dict) -> FourierSpectrum:
         coeffs = np.stack([matrix_from_json(a) for a in raw])
     else:
         coeffs = np.asarray([_field("coefficients", float, c) for c in raw])
-    return FourierSpectrum(
-        group=group,
-        coefficients=coeffs,
-        analysis_residual=_field("analysis_residual", float, data.get("analysis_residual", 0.0)),
-    )
+    residual = _field("analysis_residual", float, data.get("analysis_residual", 0.0))
+    try:
+        return FourierSpectrum(group=group, coefficients=coeffs, analysis_residual=residual)
+    except NonHermitianInput as exc:
+        raise ConfigError(f"coefficients: {exc}") from exc
 
 
 def orbit_to_json(space: Space, decomposition: OrbitDecomposition) -> dict:

@@ -16,7 +16,8 @@ point lists at once (``paired_distances`` is a stack of 1 x 1 slices).
 
 Each scalar operation is the one-row view of its stacked form, except the
 ``Circle`` and ``Euclidean`` ``canonicalize`` and ``distance``: callers that
-compare one pair at a time (``points_equal`` in orbit oracles) would pay
+handle one point or pair at a time (point decoding, the ``counterexample``
+checks, ``sample_distinct`` and the criterion-4 test oracle) would pay
 several times as much for one-row stacks. Those round exactly as ``stack``
 and ``distances`` do, so scalar and stacked results agree bit for bit.
 """
@@ -38,7 +39,6 @@ from .errors import (
     SpaceMismatch,
     TooLarge,
     TooManyPoints,
-    WrongSpaceKind,
 )
 
 EQ_TOL = 1e-9
@@ -313,13 +313,6 @@ class FiniteAbelian(Space):
     def elements(self) -> list[tuple[int, ...]]:
         return [tuple(e) for e in product(*(range(q) for q in self.orders))]
 
-    def index_of(self, x) -> int:
-        coords = self.canonicalize(x)
-        idx = 0
-        for c, q in zip(coords, self.orders):
-            idx = idx * q + c
-        return idx
-
     def random_points(self, rng: np.random.Generator, k: int) -> np.ndarray:
         # One integer per order, point after point.
         draws = [int(rng.integers(q)) for _ in range(k) for q in self.orders]
@@ -358,7 +351,7 @@ def _stack_vectors(space, points, dtype) -> np.ndarray:
 
 
 def pairwise_distinct(space: Space, points) -> bool:
-    """True iff no two of the points coincide within the space's tolerance."""
+    """True iff no two points coincide within tolerance; no program path calls it, bench/tracing.py spans it."""
     return space.all_distinct(space.stack(points))
 
 
@@ -393,10 +386,3 @@ def sample_distinct(space: Space, n: int, min_sep: float = MIN_SEP, seed=None) -
         if all(space.distance(cand, p) > min_sep for p in points):
             points.append(cand)
     return points
-
-
-def group_elements(space: Space) -> list[tuple[int, ...]]:
-    """All elements of a finite abelian space in lexicographic order."""
-    if not isinstance(space, FiniteAbelian):
-        raise WrongSpaceKind(f"group_elements needs a FiniteAbelian space, got {space!r}")
-    return space.elements()

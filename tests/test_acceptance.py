@@ -156,7 +156,7 @@ def test_criterion_3_shifted_dot_product():
     assert elapsed < 2.0, elapsed
 
 
-def _orbit_oracle(phi, pts):
+def _scalar_orbit_oracle(phi, pts):
     space = phi.space
     images = [phi.apply(p) for p in pts]
     F, tau = [], {}
@@ -173,7 +173,7 @@ def _orbit_oracle(phi, pts):
     return F, tau, merged
 
 
-def _orbit_instance(idx, rng):
+def _criterion_4_instance(idx, rng):
     family = idx % 3
     n = int(rng.integers(2, 11))
     if family == 0:
@@ -204,9 +204,9 @@ def test_criterion_4_orbit_decomposition_oracle():
     mismatches = 0
     for idx in range(200):
         rng = np.random.default_rng((SEED, 40, idx))
-        phi, pts = _orbit_instance(idx, rng)
+        phi, pts = _criterion_4_instance(idx, rng)
         space = phi.space
-        F, tau, merged = _orbit_oracle(phi, pts)
+        F, tau, merged = _scalar_orbit_oracle(phi, pts)
         dec = orbit_decompose(phi, pts)
         same_sets = all(
             any(space.points_equal(z, q) for q in merged) for z in dec.z_points
@@ -230,8 +230,8 @@ def _assert_oracles_agree(phi, pts):
     """The stacked harness oracle against the scalar one above: the same F
     and tau, and the same merged points in the same order."""
     space = phi.space
-    F, tau, merged = harness._orbit_oracle(phi, pts)
-    F_ref, tau_ref, merged_ref = _orbit_oracle(phi, list(pts))
+    F, tau, merged = harness._orbit_oracles([(phi, pts)])[0]
+    F_ref, tau_ref, merged_ref = _scalar_orbit_oracle(phi, list(pts))
     assert F == F_ref and tau == tau_ref
     assert len(merged) == len(merged_ref)
     assert (np.diag(space.distances(merged, space.stack(merged_ref))) <= space.eq_tol).all()
@@ -256,8 +256,8 @@ def _seam_and_tolerance_instances():
 
 
 def _scalar_harness_instance(idx, rng):
-    """``harness._orbit_instance`` as it was before it moved to stacks: one
-    point at a time, every distance taken by ``Space.distance``."""
+    """One instance of ``harness._orbit_instances`` as it was before it moved
+    to stacks: one point at a time, every distance taken by ``Space.distance``."""
     family = idx % 3
     n = int(rng.integers(2, 11))
     if family == 0:
@@ -289,7 +289,7 @@ def test_stacked_orbit_instances_draw_the_scalar_instances():
     for seed in (1, 7, 42):
         cfg = SuiteConfig("orbit-decomposition", seed=seed)
         for idx in range(200):
-            phi, pts = harness._orbit_instance(idx, harness._rng(cfg, 31, idx))
+            phi, pts = harness._orbit_instances([idx], [harness._rng(cfg, 31, idx)])[0]
             phi_ref, pts_ref = _scalar_harness_instance(idx, harness._rng(cfg, 31, idx))
             assert phi == phi_ref
             assert np.array_equal(pts, phi.space.stack(pts_ref))
@@ -299,7 +299,7 @@ def test_stacked_orbit_oracle_matches_the_scalar_oracle():
     for seed in (1, 7, 42):
         cfg = SuiteConfig("orbit-decomposition", seed=seed)
         for idx in range(200):
-            _assert_oracles_agree(*harness._orbit_instance(idx, harness._rng(cfg, 31, idx)))
+            _assert_oracles_agree(*harness._orbit_instances([idx], [harness._rng(cfg, 31, idx)])[0])
     for phi, pts in _seam_and_tolerance_instances():
         _assert_oracles_agree(phi, pts)
 
@@ -316,7 +316,7 @@ def test_chunked_orbit_instances_and_oracles_match_the_scalar_references():
                     phi_ref, pts_ref = _scalar_harness_instance(idx, harness._rng(cfg, 31, idx))
                     assert phi == phi_ref
                     assert np.array_equal(pts, phi.space.stack(pts_ref))
-                    F_ref, tau_ref, merged_ref = _orbit_oracle(phi, list(pts))
+                    F_ref, tau_ref, merged_ref = _scalar_orbit_oracle(phi, list(pts))
                     assert F == F_ref and tau == tau_ref
                     assert np.array_equal(merged, phi.space.stack(merged_ref))
 
@@ -329,7 +329,7 @@ def test_one_oracle_call_over_mixed_spaces_matches_the_one_instance_calls():
     instances = list(_seam_and_tolerance_instances()) + [longer]
     assert len({phi.space for phi, _ in instances}) == 3
     for (phi, pts), (F, tau, merged) in zip(instances, harness._orbit_oracles(instances)):
-        F_one, tau_one, merged_one = harness._orbit_oracle(phi, pts)
+        F_one, tau_one, merged_one = harness._orbit_oracles([(phi, pts)])[0]
         assert F == F_one and tau == tau_one
         assert np.array_equal(merged, merged_one)
 
@@ -339,7 +339,7 @@ def test_seam_and_tolerance_instances_split_as_expected():
     for (phi, pts), (tau, n_merged) in zip(_seam_and_tolerance_instances(), expected):
         space = phi.space
         dec = orbit_decompose(phi, pts)
-        assert dec.tau == tau and len(harness._orbit_oracle(phi, pts)[2]) == n_merged
+        assert dec.tau == tau and len(harness._orbit_oracles([(phi, pts)])[0][2]) == n_merged
         assert dec.m + 2 * dec.p == n_merged
         kind = float if isinstance(space, Circle) else np.ndarray
         assert all(type(z) is kind for z in dec.z_points)

@@ -19,7 +19,7 @@ import math
 import numpy as np
 import pytest
 
-from kernelcex import harness
+from kernelcex import harness, numcore
 from kernelcex.errors import ConfigError
 from kernelcex.harness import (
     _CONDITIONING_FLOOR,
@@ -85,7 +85,7 @@ def _sample_merged_per_draw(space, phi, n, min_sep, rng, radius=None, include=()
         if stuck:
             continue
         if cond_kernel is not None:
-            eigvals = np.linalg.eigvalsh(gram(cond_kernel, include + pts + images).symmetrized())
+            eigvals = np.linalg.eigvalsh(numcore._symmetrized(gram(cond_kernel, include + pts + images).entries))
             if eigvals[0] < _CONDITIONING_FLOOR * eigvals[-1]:
                 continue
         return include + pts

@@ -27,7 +27,7 @@ from kernelcex.kernels import (
     gram,
     project,
 )
-from kernelcex.numcore import HermitianMatrix, PDKind, classify, classify_many
+from kernelcex.numcore import HermitianMatrix, PDKind, _symmetrized, classify, classify_many
 from kernelcex.spaces import Circle, ComplexSphere, Euclidean, FiniteAbelian, pairwise_distinct
 from kernelcex.symmetry import (
     CircleRotation,
@@ -230,7 +230,7 @@ def _sample_merged_per_pair(space, phi, n, min_sep, rng, radius=None, include=()
         if stuck:
             continue
         if cond_kernel is not None:
-            eigvals = np.linalg.eigvalsh(gram(cond_kernel, merged_of(pts)).symmetrized())
+            eigvals = np.linalg.eigvalsh(_symmetrized(gram(cond_kernel, merged_of(pts)).entries))
             if eigvals[0] < _CONDITIONING_FLOOR * eigvals[-1]:
                 continue
         return include + pts

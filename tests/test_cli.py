@@ -337,7 +337,7 @@ def test_synthesize_a_non_hermitian_matrix_spectrum_exits_2(tmp_path, capsys):
     # The coefficient [[1, 5i], [0, 1]] as [re, im] pairs.
     spectrum = {"coefficients": [[[[1, 0], [0, 5]], [[0, 0], [1, 0]]], [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]]}
     _exits_2(capsys, ["fourier", "synthesize", "--group", "2", "--input", _write(tmp_path, "s.json", spectrum)],
-             "asymmetry")
+             "config error: coefficients: matrix 0: asymmetry 5.000e+00")
 
 
 def test_gram_with_non_integral_group_points_exits_2(tmp_path, capsys):

@@ -53,14 +53,14 @@ def test_analyze_pure_character():
     vals = np.array([character(h, x, Z12) for x in Z12.elements()])
     spectrum = analyze(vals, Z12)
     expected = np.zeros(12)
-    expected[Z12.index_of(h)] = 1.0
+    expected[Z12.elements().index(Z12.canonicalize(h))] = 1.0
     np.testing.assert_allclose(spectrum.coefficients, expected, atol=1e-12)
 
 
 def test_analyze_constant_function():
     spectrum = analyze(np.ones(12), Z12)
     expected = np.zeros(12)
-    expected[Z12.index_of((0, 0))] = 1.0
+    expected[Z12.elements().index(Z12.canonicalize((0, 0)))] = 1.0
     np.testing.assert_allclose(spectrum.coefficients, expected, atol=1e-12)
 
 
@@ -102,7 +102,7 @@ def test_parseval_sum_equals_value_at_identity():
     coeffs = rng.uniform(0.0, 2.0, Z12.order)
     spectrum = FourierSpectrum(group=Z12, coefficients=coeffs)
     values = synthesize(spectrum)
-    ident = values[Z12.index_of((0, 0))]
+    ident = values[Z12.elements().index(Z12.canonicalize((0, 0)))]
     assert abs(np.sum(coeffs) - ident) < 1e-10
 
 
@@ -134,6 +134,18 @@ def test_a_non_hermitian_matrix_spectrum_is_refused_at_construction():
     # Rounding-level asymmetry, as analysis leaves it, is accepted.
     coefficients[0, 0, 1], coefficients[0, 1, 0] = 0.5 + 1e-14j, 0.5
     assert FourierSpectrum(group=Z2, coefficients=coefficients).min_coefficient() == pytest.approx(0.5)
+
+
+def test_a_complex_scalar_spectrum_is_checked_as_1x1_matrices():
+    # An imaginary coefficient fails closed, with no ComplexWarning from a cast.
+    with pytest.raises(NonHermitianInput, match="^matrix 1: asymmetry"):
+        FourierSpectrum(group=Z2, coefficients=np.array([1, 5j]))
+    # A rounding-level imaginary part is dropped, leaving a real vector.
+    spectrum = FourierSpectrum(group=Z2, coefficients=np.array([1 + 1e-14j, 0.5]))
+    assert spectrum.coefficients.dtype == np.float64
+    assert spectrum.coefficients.tolist() == [1.0, 0.5]
+    with pytest.raises(NonFiniteValue):
+        FourierSpectrum(group=Z2, coefficients=np.array([np.nan + 0j, 1.0]))
 
 
 def test_a_character_table_over_the_cap_fails_closed():

@@ -25,17 +25,19 @@ RTOL = 1e-9
 ATOL = 1e-14
 
 
-def _mismatches(want, got, path="") -> list[str]:
+def _mismatches(want, got, path="", rtol=RTOL, atol=ATOL) -> list[str]:
+    """Every path at which got differs from want under the golden rule
+    (``rtol=atol=0`` makes it exact)."""
     if isinstance(want, dict):
         if not isinstance(got, dict) or set(want) != set(got):
             return [f"{path}: keys differ"]
-        return [m for key in want for m in _mismatches(want[key], got[key], f"{path}.{key}")]
+        return [m for key in want for m in _mismatches(want[key], got[key], f"{path}.{key}", rtol, atol)]
     if isinstance(want, list):
         if not isinstance(got, list) or len(want) != len(got):
             return [f"{path}: lengths differ"]
-        return [m for i, (w, g) in enumerate(zip(want, got)) for m in _mismatches(w, g, f"{path}[{i}]")]
+        return [m for i, (w, g) in enumerate(zip(want, got)) for m in _mismatches(w, g, f"{path}[{i}]", rtol, atol)]
     if isinstance(want, float):
-        if isinstance(got, float) and math.isclose(want, got, rel_tol=RTOL, abs_tol=ATOL):
+        if isinstance(got, float) and math.isclose(want, got, rel_tol=rtol, abs_tol=atol):
             return []
         return [f"{path}: {got!r} != {want!r}"]
     # bool, int, str and None compare exactly; a type change is a mismatch too.

@@ -1,7 +1,8 @@
 """The knob rule: each suite declares the ``SuiteConfig`` fields its builder
 reads (``SuiteInfo.knobs``), its builder reads exactly those, and a config
 that sets any other field is refused (exit 2), naming the field and the
-suite. So no knob is accepted and then ignored."""
+suite. A config built in Python may leave another field at its default, and
+is refused once it changes one. So no knob is accepted and then ignored."""
 
 import contextlib
 import dataclasses
@@ -11,18 +12,20 @@ import json
 import pytest
 
 from kernelcex.cli import main
-from kernelcex.harness import SUITES, SuiteConfig
+from kernelcex.errors import ConfigError
+from kernelcex.harness import SUITES, SuiteConfig, run_suite
 
 FIELDS = [f.name for f in dataclasses.fields(SuiteConfig) if f.name != "suite"]
 
 # Small counts, so that each builder runs in a few milliseconds; the fields a
-# builder reads do not depend on their values.
+# builder reads do not depend on their values. Each suite gets only the ones it
+# declares.
 SMALL = dict(n_points=4, trials=2, projection_trials=3, m_max=5, probes=4, orbit_instances=6, spectra=4)
 
 
 @pytest.mark.parametrize("suite", SUITES)
 def test_each_builder_reads_exactly_its_knobs(suite, monkeypatch):
-    config = SuiteConfig(suite=suite, **SMALL)
+    config = SuiteConfig(suite=suite, **{k: v for k, v in SMALL.items() if k in SUITES[suite].knobs})
     config.validate()
     reads = set()
     plain = SuiteConfig.__getattribute__
@@ -73,3 +76,20 @@ def test_an_undeclared_knob_exits_2_naming_it_and_the_suite(tmp_path, suite, kno
 def test_each_declared_knob_is_accepted(suite):
     defaults = {knob: SuiteConfig.__dataclass_fields__[knob].default for knob in SUITES[suite].knobs}
     assert SuiteConfig.from_dict({"suite": suite, "schema_version": 1, **defaults}) == SuiteConfig(suite)
+
+
+# A valid value other than the default for every field but seed, which every
+# suite reads.
+OTHER = dict(n_points=3, trials=2, projection_trials=2, min_sep=0.5, radius=5.0, m_max=5, probes=4,
+             group=(2, 3), orbit_instances=3, spectra=3, pd_tol=0.5, resid_tol=0.5, strict_tol=0.5)
+
+
+@pytest.mark.parametrize("suite, knob", UNDECLARED)
+def test_a_python_built_config_that_changes_an_undeclared_knob_is_refused(suite, knob):
+    config = SuiteConfig(suite=suite, **{knob: OTHER[knob]})
+    with pytest.raises(ConfigError, match=f"^config of suite {suite}: {knob} is not one of its knobs$"):
+        config.validate()
+    with pytest.raises(ConfigError, match=knob):
+        run_suite(config)
+    # At its default the field is inert, so the config is accepted.
+    SuiteConfig(suite=suite, **{knob: SuiteConfig.__dataclass_fields__[knob].default}).validate()

@@ -5,14 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kernelcex.errors import ConfigError, SpaceMismatch, TooLarge, TooManyPoints, WrongSpaceKind
+from kernelcex.errors import ConfigError, SpaceMismatch, TooLarge, TooManyPoints
 from kernelcex.spaces import (
     MAX_TABLE_ORDER,
     Circle,
     ComplexSphere,
     Euclidean,
     FiniteAbelian,
-    group_elements,
     sample_distinct,
 )
 
@@ -60,7 +59,7 @@ def test_complex_sphere_rejects_non_unit_points():
 def test_sample_exhausts_finite_group():
     s = FiniteAbelian((2, 3))
     pts = sample_distinct(s, 6, seed=0)
-    assert sorted(pts) == group_elements(s)
+    assert sorted(pts) == s.elements()
     with pytest.raises(TooManyPoints):
         sample_distinct(s, 7, seed=0)
 
@@ -111,19 +110,14 @@ def test_sample_is_deterministic_given_seed():
     ],
 )
 def test_group_elements_small(orders, expected):
-    assert group_elements(FiniteAbelian(orders)) == expected
+    assert FiniteAbelian(orders).elements() == expected
 
 
 def test_group_elements_lexicographic_product():
-    elems = group_elements(FiniteAbelian((3, 4)))
+    elems = FiniteAbelian((3, 4)).elements()
     assert len(elems) == 12
     assert elems == sorted(elems)
     assert len(set(elems)) == 12
-
-
-def test_group_elements_wrong_space():
-    with pytest.raises(WrongSpaceKind):
-        group_elements(Circle())
 
 
 @given(st.floats(-50, 50), st.floats(-50, 50))
