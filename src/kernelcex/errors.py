@@ -29,10 +29,6 @@ class TooManyPoints(KernelCexError):
     """More distinct points were requested than the space contains."""
 
 
-class ExhaustedSampling(KernelCexError):
-    """Rejection sampling failed to place points within the attempt budget."""
-
-
 class DuplicatePoints(KernelCexError):
     """A point list that must be pairwise distinct contains duplicates."""
 

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import NonFiniteValue, TooLarge, WrongLength, WrongSpaceKind
 from .kernels import GroupFourier, MatrixKernel, ScalarKernel
 from .numcore import PD_TOL, PDVerdict, _checked_stack, _symmetrized, classify_many
-from .spaces import FiniteAbelian, _table_elements
+from .spaces import FiniteAbelian, _finite_float, _table_elements
 
 STRICT_TOL = 1e-10
 MAX_BRUTE_SIZE = 200
@@ -66,7 +66,8 @@ def character_table(group: FiniteAbelian) -> np.ndarray:
 class FourierSpectrum:
     """Coefficient family indexed by group elements in lexicographic order.
 
-    Scalar spectra store a real vector of shape (|G|,); matrix spectra
+    Scalar spectra store a real vector of shape (|G|,), and a NaN or an
+    infinity in it raises ``NonFiniteValue`` at construction; matrix spectra
     store a complex stack of shape (|G|, ell, ell) of Hermitian matrices,
     and a stack that numcore's Hermitian check refuses (non-finite, or
     asymmetric beyond ``HERM_TOL`` relative) raises at construction. A
@@ -87,6 +88,8 @@ class FourierSpectrum:
             if np.iscomplexobj(coeffs):
                 coeffs = _checked_stack(coeffs[:, None, None], 3)[:, 0, 0].real
             coeffs = coeffs.astype(np.float64)
+            if not np.isfinite(coeffs).all():
+                raise NonFiniteValue("the coefficient spectrum has a NaN or infinite value")
         elif coeffs.ndim == 3 and coeffs.shape[1] == coeffs.shape[2]:
             coeffs = _checked_stack(coeffs, 3)
         else:
@@ -95,6 +98,7 @@ class FourierSpectrum:
             raise WrongLength(
                 f"need {self.group.order} coefficients, got {coeffs.shape[0]}"
             )
+        _finite_float(self.analysis_residual, "analysis_residual")
         coeffs.setflags(write=False)
         object.__setattr__(self, "coefficients", coeffs)
 

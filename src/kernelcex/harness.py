@@ -51,7 +51,8 @@ from .kernels import (
 )
 from .numcore import classify, classify_many, relative_tol
 from .serialize import SCHEMA_VERSION, _field, _refuse_unknown, dumps
-from .spaces import Circle, ComplexSphere, Euclidean, FiniteAbelian, Space, cyclic_orders, field_types
+from .spaces import (Circle, ComplexSphere, Euclidean, FiniteAbelian, Space, _draw_many, _separated_sets,
+                     cyclic_orders, field_types)
 from .symmetry import (
     CircleRotation,
     ComplexSphereRotation,
@@ -176,14 +177,6 @@ def _draw(space: Space, rng: np.random.Generator, radius: float | None):
     return space.random_point(rng)
 
 
-def _draw_many(space: Space, rng: np.random.Generator, radius: float | None, k: int) -> np.ndarray:
-    """k draws stacked along axis 0; the generator consumes exactly the
-    draws of k ``_draw`` calls (see ``Space.random_points``)."""
-    if isinstance(space, Euclidean) and radius is not None:
-        return rng.uniform(-radius, radius, (k, space.dim))
-    return space.random_points(rng, k)
-
-
 # A sampled point set is accepted only when the base-kernel Gram over the
 # merged set (points plus images) is positive definite by numcore's verdict
 # rule at this relative tolerance.
@@ -193,134 +186,35 @@ def _draw_many(space: Space, rng: np.random.Generator, radius: float | None, k: 
 # pd_tol with a factor-ten margin.
 _CONDITIONING_FLOOR = 1e-8
 
-# Draws per placement slot before the sampler restarts from scratch, and
-# draws over all restarts before it gives up.
-_SLOT_ATTEMPTS = 200
-_MAX_ATTEMPTS = 200_000
-# The largest block of candidates drawn ahead at once.
-_MAX_BLOCK = 256
-
-
-def _separated_sets(space, phi, n, min_sep, rng, radius, include, min_norm):
-    """One generator's search (see ``_sample_merged_many``): each separated set it
-    completes, as canonical stacks (merged set with images, points), until closed."""
-    include = space.stack(include)
-    include_images = include[:0]
-    if phi is not None and len(include):
-        include_images = phi.apply_many(include)
-        include_images = include_images[space.paired_distances(include_images, include) > min_sep]
-    base = np.concatenate([include, include_images])
-
-    # cands[0] holds the block of candidates drawn ahead (canonical) and
-    # cands[1] their images, if any; rows is cands as one stack. pos counts
-    # the candidates of the block consumed, drawn the draws made in all.
-    cands, rows, pos, drawn, start = include[None, :0], include[:0], 0, 0, None
-
-    def clear(dist) -> np.ndarray:
-        """Which candidates keep more than ``min_sep``, together with their
-        images, from every point of a stack, given its distances to rows."""
-        return dist.reshape(-1, cands.shape[1]).min(axis=0) > min_sep
-
-    def screen(merged) -> np.ndarray:
-        """The candidates that pass ``min_norm`` and are clear of merged."""
-        return norm_ok & clear(space.distances(merged, rows)) if len(merged) else norm_ok.copy()
-
-    try:
-        while True:
-            pts, used = [], 0
-            if pos < cands.shape[1]:
-                open_ = screen(base)
-            while len(pts) < n:
-                if pos == cands.shape[1]:
-                    k = min(_MAX_BLOCK, max(2 * n, drawn), _MAX_ATTEMPTS - drawn)
-                    if k == 0:
-                        raise ConfigError(
-                            "min_sep: sampling could not place separated points; lower min_sep or n_points"
-                        )
-                    start = rng.bit_generator.state
-                    block = space.stack(_draw_many(space, rng, radius, k))
-                    cands = block[None] if phi is None else np.stack([block, phi.apply_many(block)])
-                    rows = cands.reshape(-1, *cands.shape[2:])
-                    pos, drawn = 0, drawn + k
-                    norm_ok = np.full(k, True)
-                    if min_norm > 0.0:
-                        norm_ok = np.linalg.norm(block.reshape(k, -1), axis=1) > min_norm
-                    open_ = screen(np.concatenate([base, *pts]))
-                # The slot takes the first open candidate whose image keeps
-                # min_sep from the candidate itself; the distances that test
-                # this also screen the rest of the block against both.
-                stop = min(cands.shape[1], pos + _SLOT_ATTEMPTS - used)
-                for j in open_[pos:stop].nonzero()[0].tolist():
-                    j += pos
-                    dist = space.distances(cands[:, j], rows)
-                    if phi is None or dist[1, j] > min_sep:
-                        break
-                else:
-                    # None taken: the slot goes on in a new block, or it has
-                    # used its draws and the dead end restarts the set.
-                    used, pos = used + stop - pos, stop
-                    if used == _SLOT_ATTEMPTS:
-                        break
-                    continue
-                pts.append(cands[:, j])
-                open_ &= clear(dist)
-                pos, used = j + 1, 0
-            if len(pts) == n:
-                placed = [p[:1] for p in pts]
-                merged = np.concatenate([include, *placed, include_images, *(p[1:] for p in pts)])
-                yield merged, np.concatenate([include, *placed])
-    finally:
-        if pos < cands.shape[1]:
-            rng.bit_generator.state = start
-            _draw_many(space, rng, radius, pos)
-
 
 def _sample_merged_many(space: Space, phi: SymmetryMap | None, n: int, min_sep: float, rngs,
                         radius=None, include=(), min_norm=0.0, cond_kernel=None) -> np.ndarray:
-    """For each generator, sample n points such that the set together with
-    its images under phi (and any pre-included points) stays pairwise
-    ``min_sep``-separated; the sets come back as one canonical stack of
-    shape (len(rngs), len(include) + n, ...), included points first.
+    """For each generator, the first set of its separated-point search
+    (``spaces._separated_sets``) whose merged set (points, images and any
+    included points) passes the conditioning floor on ``cond_kernel``'s Gram,
+    as one canonical stack of shape (len(rngs), len(include) + n, ...),
+    included points first.
 
-    Separation plus the optional conditioning floor on ``cond_kernel``'s
-    merged-set Gram keep projection Gram matrices away from incidental
-    ill-conditioning, so that only the constructed degeneracies can make a
-    verdict non-definite. Each placement slot takes candidates until one
-    passes; a slot that fails ``_SLOT_ATTEMPTS`` draws (a draw skipped for
-    ``min_norm`` counts) restarts the whole set, and ``_MAX_ATTEMPTS``
-    draws in all raise ``ConfigError``.
-
-    Each generator runs its own search (``_separated_sets``), which decides
-    every draw once, on stacked values. Candidates are drawn ahead in blocks
-    (the first holds 2n draws, each later one as many as were drawn before
-    it, up to ``_MAX_BLOCK``), stacked, mapped and screened against the
-    merged set once; after each acceptance only the rest of the block is
-    screened against the new point and its image, and a restart screens it
-    against the included points again, so a dead end or a restart costs no
-    numpy call per draw. One stacked Gram and one ``classify_many`` call
-    decide the conditioning floor for every set still pending, and a set
-    that fails resumes its own search.
+    Separation plus the floor keep projection Gram matrices away from
+    incidental ill-conditioning, so that only the constructed degeneracies
+    can make a verdict non-definite. One stacked Gram and one
+    ``classify_many`` call decide the floor for every set still pending, and
+    a set that fails resumes its own search.
 
     Stream contract: each generator yields, bit for bit, the points of a
-    loop that draws and tests one candidate at a time, and consumes exactly
-    that loop's draws: at return, and on ``ConfigError``, every search
-    rewinds its generator to the start of its block and redraws the draws it
-    consumed there. So each generator ends in the state a one-set call
-    (``_sample_merged``) on it leaves, and none reads past its cap.
+    loop that draws and tests one candidate at a time, and reads no draw
+    past the search's cap. Where it stands afterwards is unspecified: each
+    caller passes fresh generators and draws nothing more from them.
     """
     searches = [_separated_sets(space, phi, n, min_sep, rng, radius, include, min_norm) for rng in rngs]
-    try:
-        found = [next(search) for search in searches]
-        pending = range(len(found)) if cond_kernel is not None else []
-        while pending:
-            merged = np.stack([found[i][0] for i in pending])
-            verdicts = classify_many(grams(cond_kernel, merged), _CONDITIONING_FLOOR)
-            pending = [i for i, v in zip(pending, verdicts) if not v.is_positive_definite]
-            for i in pending:
-                found[i] = next(searches[i])
-    finally:
-        for search in searches:
-            search.close()
+    found = [next(search) for search in searches]
+    pending = range(len(found)) if cond_kernel is not None else []
+    while pending:
+        merged = np.stack([found[i][0] for i in pending])
+        verdicts = classify_many(grams(cond_kernel, merged), _CONDITIONING_FLOOR)
+        pending = [i for i, v in zip(pending, verdicts) if not v.is_positive_definite]
+        for i in pending:
+            found[i] = next(searches[i])
     return np.stack([points for _, points in found])
 
 
@@ -679,62 +573,53 @@ def _padded(stacks, width: int) -> np.ndarray:
     return out
 
 
-def _by_space(phis) -> dict[Space, list[int]]:
-    """Positions of the maps, grouped by the space they act on."""
-    groups: dict[Space, list[int]] = {}
-    for i, phi in enumerate(phis):
-        groups.setdefault(phi.space, []).append(i)
-    return groups
-
-
 def _orbit_oracles(instances):
-    """Brute-force orbit split of each (map, points) instance: F, tau and the
-    merged point set as a stack.
+    """Brute-force orbit split of each (map, points) instance, all maps acting on
+    one space: F, tau and the merged point set as a stack.
 
     ``tau[mu]`` is the first input point that the image of point mu hits;
     the merged set keeps each image, then each input point, that coincides
-    with none kept before it. Instances of one space are padded to one stack,
-    so each space takes one ``distances`` call for the hits and one for the
-    merge; padding rows are masked out of both.
+    with none kept before it. The instances are padded to one stack, so one
+    ``distances`` call finds the hits and one the merge; padding rows are
+    masked out of both.
     """
-    out = [None] * len(instances)
-    for space, members in _by_space(phi for phi, _ in instances).items():
-        stacks = [space.stack(instances[i][1]) for i in members]
-        n = np.array([len(X) for X in stacks])
-        width = int(n.max())
-        X = _padded(stacks, width)
-        images = _padded([instances[i][0].apply_many(Xi) for i, Xi in zip(members, stacks)], width)
-        real = np.arange(width) < n[:, None]
-        hits = (space.distances(images, X) <= space.eq_tol) & real[:, :, None] & real[:, None, :]
-        hit_any = hits.any(axis=2)
-        first_hit = hits.argmax(axis=2)
-        cands = np.concatenate([images, X], axis=1)
-        close = space.distances(cands, cands) <= space.eq_tol
-        real_cand = np.concatenate([real, real], axis=1)
-        kept = np.zeros_like(real_cand)
-        for c in range(2 * width):
-            kept[:, c] = real_cand[:, c] & ~(close[:, c] & kept).any(axis=1)
-        for r, i in enumerate(members):
-            F = np.flatnonzero(hit_any[r]).tolist()
-            out[i] = (F, dict(zip(F, first_hit[r, F].tolist())), cands[r][kept[r]])
-    return out
+    space = instances[0][0].space
+    stacks = [space.stack(pts) for _, pts in instances]
+    n = np.array([len(X) for X in stacks])
+    width = int(n.max())
+    X = _padded(stacks, width)
+    images = _padded([phi.apply_many(Xi) for (phi, _), Xi in zip(instances, stacks)], width)
+    real = np.arange(width) < n[:, None]
+    hits = (space.distances(images, X) <= space.eq_tol) & real[:, :, None] & real[:, None, :]
+    hit_any = hits.any(axis=2)
+    first_hit = hits.argmax(axis=2)
+    cands = np.concatenate([images, X], axis=1)
+    close = space.distances(cands, cands) <= space.eq_tol
+    real_cand = np.concatenate([real, real], axis=1)
+    kept = np.zeros_like(real_cand)
+    for c in range(2 * width):
+        kept[:, c] = real_cand[:, c] & ~(close[:, c] & kept).any(axis=1)
+    Fs = [np.flatnonzero(row).tolist() for row in hit_any]
+    return [(F, dict(zip(F, first_hit[r, F].tolist())), cands[r][kept[r]]) for r, F in enumerate(Fs)]
+
+
+# The space of each orbit family: translations and scalings of the line,
+# rotations of the circle; instance idx belongs to family idx % 3.
+_ORBIT_SPACES = (Euclidean(1), Euclidean(1), Circle())
 
 
 def _orbit_setup(idx: int, rng: np.random.Generator):
     """An instance's map, its point count and its seeder of fresh points."""
     family = idx % 3
+    space = _ORBIT_SPACES[family]
     n = int(rng.integers(2, 11))
     if family == 0:
-        space = Euclidean(1)
         phi = EuclideanTranslation(space, (float(rng.uniform(0.4, 1.6)),))
         seeder = lambda: rng.uniform(-8.0, 8.0, 1)
     elif family == 1:
-        space = Euclidean(1)
-        ratio = float(rng.choice([2.0, -2.0, 1.5, 2.5]))
-        phi = EuclideanScaling(space, ratio)
+        phi = EuclideanScaling(space, float(rng.choice([2.0, -2.0, 1.5, 2.5])))
         seeder = lambda: np.array([rng.uniform(0.2, 3.0) * rng.choice([-1.0, 1.0])])
     else:
-        space = Circle()
         phi = CircleRotation(space, float(rng.uniform(0.3, 2.6)))
         seeder = lambda: rng.uniform(-math.pi, math.pi)
     return phi, n, seeder
@@ -742,67 +627,61 @@ def _orbit_setup(idx: int, rng: np.random.Generator):
 
 def _orbit_instances(idxs, rngs):
     """A map and a stack of up to 10 points for each index, each instance
-    drawn from its own generator.
+    drawn from its own generator; the indices' families share one space.
 
     The points stay pairwise more than ``_ORBIT_GAP`` apart; after a seeded
     first point, each candidate is, at even odds, the image of an accepted
     point or a fresh draw, for up to 500 candidates. The instances advance in
     lockstep: each step makes, for every instance still short of its points,
     the draws that one step of a one-instance loop makes on its generator, so
-    neither the streams nor the instances depend on the chunk. Fresh draws of
-    one space are canonicalized by one ``stack``, and one masked ``distances``
-    call per space tests every candidate against its instance's points.
+    neither the streams nor the instances depend on the batch. Each step's
+    fresh draws are canonicalized by one ``stack``, and one masked
+    ``distances`` call tests every candidate against its instance's points.
     """
     setups = [_orbit_setup(idx, rng) for idx, rng in zip(idxs, rngs)]
+    space = setups[0][0].space
     width = max(n for _, n, _ in setups)
     count = [1] * len(setups)
     guard = [0] * len(setups)
-    row: dict[int, int] = {}
-    points: dict[Space, np.ndarray] = {}
-    live: dict[Space, list[int]] = {}
-    for space, members in _by_space(phi for phi, _, _ in setups).items():
-        first = space.stack([setups[i][2]() for i in members])
-        points[space] = np.zeros((len(members), width) + first.shape[1:], first.dtype)
-        points[space][:, 0] = first
-        row.update((i, r) for r, i in enumerate(members))
-        live[space] = [i for i in members if setups[i][1] > 1]
-    while any(live.values()):
-        for space, members in live.items():
-            if not members:
-                continue
-            X = points[space]
-            cand = np.empty((len(members),) + X.shape[2:], X.dtype)
-            seeded, fresh = [], []
-            for slot, i in enumerate(members):
-                phi, _, seeder = setups[i]
-                rng = rngs[i]
-                guard[i] += 1
-                if rng.random() < 0.5:
-                    j = int(rng.integers(count[i]))
-                    cand[slot] = phi.apply_many(X[row[i], j : j + 1])[0]
-                else:
-                    seeded.append(slot)
-                    fresh.append(seeder())
-            if fresh:
-                cand[seeded] = space.stack(fresh)
-            rows = [row[i] for i in members]
-            k = np.array([count[i] for i in members])
-            gaps = space.distances(cand[:, None], X[rows])[:, 0]
-            clear = ((gaps > _ORBIT_GAP) | (np.arange(width) >= k[:, None])).all(axis=1)
-            for slot in np.flatnonzero(clear).tolist():
-                i = members[slot]
-                X[row[i], count[i]] = cand[slot]
-                count[i] += 1
-            live[space] = [i for i in members if count[i] < setups[i][1] and guard[i] < 500]
-    return [(phi, points[phi.space][row[i], : count[i]]) for i, (phi, _, _) in enumerate(setups)]
+    first = space.stack([seeder() for _, _, seeder in setups])
+    X = np.zeros((len(setups), width) + first.shape[1:], first.dtype)
+    X[:, 0] = first
+    live = [i for i, (_, n, _) in enumerate(setups) if n > 1]
+    while live:
+        cand = np.empty((len(live),) + X.shape[2:], X.dtype)
+        seeded, fresh = [], []
+        for slot, i in enumerate(live):
+            phi, _, seeder = setups[i]
+            rng = rngs[i]
+            guard[i] += 1
+            if rng.random() < 0.5:
+                j = int(rng.integers(count[i]))
+                cand[slot] = phi.apply_many(X[i, j : j + 1])[0]
+            else:
+                seeded.append(slot)
+                fresh.append(seeder())
+        if fresh:
+            cand[seeded] = space.stack(fresh)
+        k = np.array([count[i] for i in live])
+        gaps = space.distances(cand[:, None], X[live])[:, 0]
+        clear = ((gaps > _ORBIT_GAP) | (np.arange(width) >= k[:, None])).all(axis=1)
+        for slot in np.flatnonzero(clear).tolist():
+            i = live[slot]
+            X[i, count[i]] = cand[slot]
+            count[i] += 1
+        live = [i for i in live if count[i] < setups[i][1] and guard[i] < 500]
+    return [(phi, X[i, : count[i]]) for i, (phi, _, _) in enumerate(setups)]
 
 
 def _orbit_checks(cfg: SuiteConfig):
     """Every orbit instance of the suite with its oracle split, made
-    ``_ORBIT_CHUNK`` instances at a time."""
-    for idxs in _chunks(cfg.orbit_instances, _ORBIT_CHUNK):
-        instances = _orbit_instances(idxs, [_rng(cfg, 31, idx) for idx in idxs])
-        yield from zip(instances, _orbit_oracles(instances))
+    ``_ORBIT_CHUNK`` instances of one space at a time."""
+    for space in dict.fromkeys(_ORBIT_SPACES):
+        idxs = [idx for idx in range(cfg.orbit_instances) if _ORBIT_SPACES[idx % 3] == space]
+        for chunk in _chunks(len(idxs), _ORBIT_CHUNK):
+            batch = [idxs[c] for c in chunk]
+            instances = _orbit_instances(batch, [_rng(cfg, 31, idx) for idx in batch])
+            yield from zip(instances, _orbit_oracles(instances))
 
 
 def _suite_orbit(cfg: SuiteConfig) -> list[CheckRecord]:
@@ -974,10 +853,8 @@ def _suite_embed(cfg: SuiteConfig) -> list[CheckRecord]:
     X = space.stack([x for x, _ in pairs])
     Y = space.stack([y for _, y in pairs])
 
-    # 30 vectors, each drawn as its real parts, then its imaginary parts. A
-    # projection's values are a contraction of the kernel's pair values.
-    parts = rng.standard_normal((30, 2, 2))
-    v2 = parts[:, 0] + 1j * parts[:, 1]
+    # A projection's values are a contraction of the kernel's pair values.
+    v2 = _projection_vectors(rng, 2, 30)
     v3 = np.pad(v2, ((0, 0), (0, 1)))
     padded_values = pair_values(padded, X, Y)
     match = np.einsum("vi,pij,vj->vp", v2.conj(), pair_values(cex.as_matrix, X, Y), v2)

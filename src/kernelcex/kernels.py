@@ -42,7 +42,7 @@ from .errors import (
     ZeroVector,
 )
 from .numcore import RESID_TOL, HermitianMatrix
-from .spaces import Circle, ComplexSphere, Euclidean, FiniteAbelian, Space, check_space
+from .spaces import Circle, ComplexSphere, Euclidean, FiniteAbelian, Space, _finite_float, check_space
 from .symmetry import SymmetryMap
 
 
@@ -120,6 +120,11 @@ class DotExp(ScalarKernel):
     scale: float = 1.0
     shift: float = 0.0
 
+    def __post_init__(self):
+        super().__post_init__()
+        _finite_float(self.scale, "scale")
+        _finite_float(self.shift, "shift")
+
     def block(self, X, Y) -> np.ndarray:
         inner = (X @ np.swapaxes(Y.conj(), -1, -2)).real
         # An overflow becomes inf here and NonFiniteValue at the caller.
@@ -163,6 +168,8 @@ class GroupFourier(ScalarKernel):
         coeffs = np.asarray(self.coefficients, dtype=np.complex128)
         if coeffs.shape != (self.space.order,):
             raise DimensionMismatch(f"need {self.space.order} coefficients, got shape {coeffs.shape}")
+        if not np.isfinite(coeffs).all():
+            raise ConfigError("coefficients: must be finite numbers")
         object.__setattr__(self, "coefficients", tuple(coeffs.tolist()))
         # psi(d) = sum_g c_g xi_g(d), evaluated once per group element.
         from .fourier import character_table
@@ -211,6 +218,10 @@ class OffsetKernel(ScalarKernel):
     base: ScalarKernel
     offset: float
 
+    def __post_init__(self):
+        super().__post_init__()
+        _finite_float(self.offset, "offset")
+
     @property
     def space(self) -> Space:
         return self.base.space
@@ -236,8 +247,9 @@ class MatrixKernel:
     entries: tuple[tuple[ScalarKernel, ...], ...]
 
     def __post_init__(self):
-        if self.ell < 1:
-            raise ConfigError(f"ell: must be at least 1, got {self.ell!r}")
+        # NaN and an infinity fail the test too.
+        if not 1 <= self.ell < math.inf:
+            raise ConfigError(f"ell: must be at least 1 and finite, got {self.ell!r}")
         grid = tuple(tuple(row) for row in self.entries)
         if len(grid) != self.ell or any(len(row) != self.ell for row in grid):
             raise DimensionMismatch("entries must form an ell x ell grid")

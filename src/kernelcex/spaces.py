@@ -17,9 +17,11 @@ point lists at once (``paired_distances`` is a stack of 1 x 1 slices).
 Each scalar operation is the one-row view of its stacked form, except the
 ``Circle`` and ``Euclidean`` ``canonicalize`` and ``distance``: callers that
 handle one point or pair at a time (point decoding, the ``counterexample``
-checks, ``sample_distinct`` and the criterion-4 test oracle) would pay
-several times as much for one-row stacks. Those round exactly as ``stack``
-and ``distances`` do, so scalar and stacked results agree bit for bit.
+checks and the criterion-4 test oracle) would pay several times as much for
+one-row stacks. Those round exactly as ``stack`` and ``distances`` do, so
+scalar and stacked results agree bit for bit. The suites' samplers and
+``sample_distinct`` draw separated point sets through one search,
+``_separated_sets``.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ import numpy as np
 
 from .errors import (
     ConfigError,
-    ExhaustedSampling,
     NonFiniteValue,
     SpaceMismatch,
     TooLarge,
@@ -66,11 +67,22 @@ def cyclic_orders(orders, name: str = "orders") -> tuple[int, ...]:
     """``FiniteAbelian``'s rule: a nonempty list of orders of at least 2 (a refusal names ``name``)."""
     try:
         checked = tuple(int(q) for q in orders)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         checked = ()
     if not checked or min(checked) < 2:
         raise ConfigError(f"{name}: must list cyclic orders of at least 2, got {orders!r}")
     return checked
+
+
+def _finite_float(value, name: str) -> float:
+    """``value`` as a float; a value that is not a finite number is a ``ConfigError`` naming ``name``."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        number = math.nan
+    if not math.isfinite(number):
+        raise ConfigError(f"{name}: must be a finite number, got {value!r}")
+    return number
 
 
 def _wrap_angle(a):
@@ -99,8 +111,9 @@ class Space:
     point_ndim = 1
 
     def __post_init__(self):
-        if getattr(self, "dim", 1) < 1:
-            raise ConfigError(f"dim: must be at least 1, got {self.dim!r}")
+        # NaN and an infinity fail the test too.
+        if not 1 <= getattr(self, "dim", 1) < math.inf:
+            raise ConfigError(f"dim: must be at least 1 and finite, got {self.dim!r}")
         # A NaN, infinite or negative eq_tol makes every ``distance <= eq_tol`` false.
         if not 0.0 <= self.eq_tol < math.inf:
             raise ConfigError(f"eq_tol: must be a nonnegative finite number, got {self.eq_tol!r}")
@@ -350,6 +363,102 @@ def _stack_vectors(space, points, dtype) -> np.ndarray:
     return arr
 
 
+def _draw_many(space: Space, rng: np.random.Generator, radius: float | None, k: int) -> np.ndarray:
+    """k raw draws stacked along axis 0: ``random_points``, or on Euclidean
+    space with a ``radius`` uniform coordinates in [-radius, radius]; either
+    way the generator consumes exactly the draws of k one-point draws."""
+    if isinstance(space, Euclidean) and radius is not None:
+        return rng.uniform(-radius, radius, (k, space.dim))
+    return space.random_points(rng, k)
+
+
+# Draws per placement slot before the search restarts from scratch, and
+# draws over all restarts before it gives up.
+_SLOT_ATTEMPTS = 200
+_MAX_ATTEMPTS = 200_000
+# The largest block of candidates drawn ahead at once.
+_MAX_BLOCK = 256
+
+
+def _separated_sets(space, phi, n, min_sep, rng, radius, include, min_norm):
+    """The separated-point search: each set of n points it completes, as
+    canonical stacks (merged set with images, points), while it is resumed.
+
+    A slot takes the first draw with a norm above ``min_norm`` that keeps more
+    than ``min_sep``, with its image under phi (None: no map), from the set so
+    far, the ``include`` points and those of their images kept; so the points
+    are those of a loop that draws and tests one candidate at a time. A slot
+    that fails ``_SLOT_ATTEMPTS`` draws restarts the set, and ``_MAX_ATTEMPTS``
+    draws in all raise ``ConfigError``, none read past them. Candidates are
+    drawn ahead in blocks (2n, then as many as drawn before, up to
+    ``_MAX_BLOCK``) and screened once; after an acceptance only the rest of the
+    block is screened again, so no dead end or restart costs a call per draw.
+    """
+    include = space.stack(include)
+    include_images = include[:0]
+    if phi is not None and len(include):
+        include_images = phi.apply_many(include)
+        include_images = include_images[space.paired_distances(include_images, include) > min_sep]
+    base = np.concatenate([include, include_images])
+
+    # cands[0] holds the block of candidates drawn ahead (canonical) and
+    # cands[1] their images, if any; rows is cands as one stack. pos counts
+    # the candidates of the block consumed, drawn the draws made in all.
+    cands, rows, pos, drawn = include[None, :0], include[:0], 0, 0
+
+    def clear(dist) -> np.ndarray:
+        """Which candidates keep more than ``min_sep``, together with their
+        images, from every point of a stack, given its distances to rows."""
+        return dist.reshape(-1, cands.shape[1]).min(axis=0) > min_sep
+
+    def screen(merged) -> np.ndarray:
+        """The candidates that pass ``min_norm`` and are clear of merged."""
+        return norm_ok & clear(space.distances(merged, rows)) if len(merged) else norm_ok.copy()
+
+    while True:
+        pts, used = [], 0
+        if pos < cands.shape[1]:
+            open_ = screen(base)
+        while len(pts) < n:
+            if pos == cands.shape[1]:
+                k = min(_MAX_BLOCK, max(2 * n, drawn), _MAX_ATTEMPTS - drawn)
+                if k == 0:
+                    raise ConfigError(
+                        "min_sep: sampling could not place separated points; lower min_sep or n_points"
+                    )
+                block = space.stack(_draw_many(space, rng, radius, k))
+                cands = block[None] if phi is None else np.stack([block, phi.apply_many(block)])
+                rows = cands.reshape(-1, *cands.shape[2:])
+                pos, drawn = 0, drawn + k
+                norm_ok = np.full(k, True)
+                if min_norm > 0.0:
+                    norm_ok = np.linalg.norm(block.reshape(k, -1), axis=1) > min_norm
+                open_ = screen(np.concatenate([base, *pts]))
+            # The slot takes the first open candidate whose image keeps
+            # min_sep from the candidate itself; the distances that test
+            # this also screen the rest of the block against both.
+            stop = min(cands.shape[1], pos + _SLOT_ATTEMPTS - used)
+            for j in open_[pos:stop].nonzero()[0].tolist():
+                j += pos
+                dist = space.distances(cands[:, j], rows)
+                if phi is None or dist[1, j] > min_sep:
+                    break
+            else:
+                # None taken: the slot goes on in a new block, or it has
+                # used its draws and the dead end restarts the set.
+                used, pos = used + stop - pos, stop
+                if used == _SLOT_ATTEMPTS:
+                    break
+                continue
+            pts.append(cands[:, j])
+            open_ &= clear(dist)
+            pos, used = j + 1, 0
+        if len(pts) == n:
+            placed = [p[:1] for p in pts]
+            merged = np.concatenate([include, *placed, include_images, *(p[1:] for p in pts)])
+            yield merged, np.concatenate([include, *placed])
+
+
 def pairwise_distinct(space: Space, points) -> bool:
     """True iff no two points coincide within tolerance; no program path calls it, bench/tracing.py spans it."""
     return space.all_distinct(space.stack(points))
@@ -360,10 +469,12 @@ def sample_distinct(space: Space, n: int, min_sep: float = MIN_SEP, seed=None) -
 
     Deterministic for a given ``seed`` (PCG64). On a finite abelian group
     the draw is a uniform subset without replacement and ``min_sep`` is
-    ignored; on continuous spaces a bounded rejection loop is used.
+    ignored; on continuous spaces it is the first set of the separated-point
+    search (``_separated_sets``) without a map, and a request the search
+    cannot place raises its ``ConfigError``, which names ``min_sep``.
     """
-    if n < 0:
-        raise ConfigError(f"n: must be nonnegative, got {n}")
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
+        raise ConfigError(f"n: must be a nonnegative integer, got {n!r}")
     rng = np.random.default_rng(seed)
     if isinstance(space, FiniteAbelian):
         if n > space.order:
@@ -371,18 +482,7 @@ def sample_distinct(space: Space, n: int, min_sep: float = MIN_SEP, seed=None) -
         elems = space.elements()
         picks = rng.permutation(space.order)[:n]
         return [elems[i] for i in picks]
-    if min_sep <= space.eq_tol:
+    # A NaN min_sep fails this test too.
+    if not min_sep > space.eq_tol:
         raise ConfigError(f"min_sep: must exceed the space's eq_tol {space.eq_tol}, got {min_sep}")
-    points: list = []
-    attempts = 0
-    budget = 1000 * max(n, 1)
-    while len(points) < n:
-        if attempts >= budget:
-            raise ExhaustedSampling(
-                f"placed {len(points)} of {n} points after {attempts} attempts"
-            )
-        attempts += 1
-        cand = space.canonicalize(space.random_point(rng))
-        if all(space.distance(cand, p) > min_sep for p in points):
-            points.append(cand)
-    return points
+    return space.unstack(next(_separated_sets(space, None, n, min_sep, rng, None, (), 0.0))[1])

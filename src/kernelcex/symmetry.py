@@ -3,7 +3,9 @@
 Aperiodicity and center membership are universally quantified statements
 over infinite sets, so the checkers here gather finite evidence (probe
 points, a power bound) and report violations; they never claim proof.
-Map parameters are plain floats and tuples, so maps compare by value.
+Map parameters are plain floats and tuples, so maps compare by value; a NaN or
+infinite parameter is a ``ConfigError`` that names it. The checks and the orbit
+split raise ``NonFiniteValue`` on a non-finite image (an overflowing scaling).
 The declared type of a map's ``space`` field is the rule for where it acts,
 and ``spaces.check_space`` enforces it when the map is built.
 """
@@ -18,10 +20,11 @@ from .errors import (
     ConfigError,
     InjectivityViolation,
     MissingAdjoint,
+    NonFiniteValue,
     PeriodicityDetected,
     SpaceMismatch,
 )
-from .spaces import Circle, ComplexSphere, Euclidean, FiniteAbelian, Space, check_space
+from .spaces import Circle, ComplexSphere, Euclidean, FiniteAbelian, Space, _finite_float, check_space
 
 
 _ADJOINT_KINDS = (None, "self", "inverse")
@@ -83,7 +86,7 @@ class CircleRotation(SymmetryMap):
 
     def __post_init__(self):
         super().__post_init__()
-        object.__setattr__(self, "angle", float(self.angle))
+        object.__setattr__(self, "angle", _finite_float(self.angle, "angle"))
 
     def apply_many(self, points) -> np.ndarray:
         return self.space.stack(self.space.stack(points) + self.angle)
@@ -102,7 +105,7 @@ class EuclideanTranslation(SymmetryMap):
 
     def __post_init__(self):
         super().__post_init__()
-        offset = tuple(float(c) for c in np.atleast_1d(self.offset))
+        offset = tuple(_finite_float(c, "offset") for c in np.atleast_1d(self.offset))
         if len(offset) != self.space.dim:
             raise SpaceMismatch("offset length must match the space dimension")
         object.__setattr__(self, "offset", offset)
@@ -124,7 +127,7 @@ class EuclideanScaling(SymmetryMap):
 
     def __post_init__(self):
         super().__post_init__()
-        object.__setattr__(self, "ratio", float(self.ratio))
+        object.__setattr__(self, "ratio", _finite_float(self.ratio, "ratio"))
 
     def apply_many(self, points) -> np.ndarray:
         return self.ratio * self.space.stack(points)
@@ -147,7 +150,7 @@ class ComplexSphereRotation(SymmetryMap):
 
     def __post_init__(self):
         super().__post_init__()
-        object.__setattr__(self, "angle", float(self.angle))
+        object.__setattr__(self, "angle", _finite_float(self.angle, "angle"))
 
     def apply_many(self, points) -> np.ndarray:
         moved = np.exp(1j * self.angle) * self.space.stack(points)
@@ -168,13 +171,26 @@ class GroupTranslation(SymmetryMap):
 
     def __post_init__(self):
         super().__post_init__()
-        object.__setattr__(self, "element", self.space.canonicalize(self.element))
+        try:
+            element = self.space.canonicalize(self.element)
+        except NonFiniteValue as exc:
+            raise ConfigError(f"element: {exc}") from exc
+        object.__setattr__(self, "element", element)
 
     def apply_many(self, points) -> np.ndarray:
         return (self.space.stack(points) + np.asarray(self.element)) % np.asarray(self.space.orders)
 
     def _inverse(self):
         return GroupTranslation(self.space, tuple(-g for g in self.element), self.adjoint_kind)
+
+
+def _images(phi: SymmetryMap, X) -> np.ndarray:
+    """``phi.apply_many(X)``; a NaN or infinite image raises ``NonFiniteValue``."""
+    with np.errstate(over="ignore"):
+        images = phi.apply_many(X)
+    if not np.isfinite(images).all():
+        raise NonFiniteValue(f"{phi.action_kind} sends a point to a non-finite image")
+    return images
 
 
 @dataclass(frozen=True)
@@ -220,7 +236,7 @@ def check_aperiodic(phi: SymmetryMap, probes, m_max: int) -> AperiodicityEvidenc
     for m in range(1, m_max + 1):
         if not len(live):
             break
-        Y = phi.apply_many(Y)
+        Y = _images(phi, Y)
         back = space.paired_distances(X[live], Y) <= space.eq_tol
         returned[live[back]] = m
         live, Y = live[~back], Y[~back]
@@ -231,7 +247,7 @@ def check_aperiodic(phi: SymmetryMap, probes, m_max: int) -> AperiodicityEvidenc
 
 def check_injective_on(phi: SymmetryMap, points) -> bool:
     """True iff the images of the (distinct) points are pairwise distinct."""
-    return phi.space.all_distinct(phi.apply_many(points))
+    return phi.space.all_distinct(_images(phi, points))
 
 
 def check_center(phi: SymmetryMap, generators, probes) -> CenterEvidence:
@@ -243,9 +259,9 @@ def check_center(phi: SymmetryMap, generators, probes) -> CenterEvidence:
     if any(psi.space != space for psi in generators):
         raise SpaceMismatch("generators must act on the same space as phi")
     X = space.stack(probes)
-    moved = phi.apply_many(X)
+    moved = _images(phi, X)
     for psi in generators:
-        gap = space.paired_distances(phi.apply_many(psi.apply_many(X)), psi.apply_many(moved))
+        gap = space.paired_distances(_images(phi, _images(psi, X)), _images(psi, moved))
         violations += [(psi, probes[i], float(gap[i])) for i in np.flatnonzero(gap > space.eq_tol)]
     return CenterEvidence(
         n_generators=len(generators), n_probes=len(probes), violations=tuple(violations)
@@ -288,7 +304,7 @@ def orbit_decompose(phi: SymmetryMap, points) -> OrbitDecomposition:
     n = len(X)
     if n == 0:
         raise ConfigError("points: must be nonempty")
-    images = phi.apply_many(X)
+    images = _images(phi, X)
 
     shared = np.argwhere(np.triu(space.distances(images, images) <= space.eq_tol, 1))
     if len(shared):

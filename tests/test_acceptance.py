@@ -305,33 +305,40 @@ def test_stacked_orbit_oracle_matches_the_scalar_oracle():
 
 
 def test_chunked_orbit_instances_and_oracles_match_the_scalar_references():
+    # A batch holds the instances of one space: the line families 0 and 1, or the circle family 2.
     for seed in (1, 7, 42):
         cfg = SuiteConfig("orbit-decomposition", seed=seed)
-        for chunk in (harness._ORBIT_CHUNK, 200):
-            for start in range(0, 200, chunk):
-                idxs = range(start, start + chunk)
-                instances = harness._orbit_instances(idxs, [harness._rng(cfg, 31, idx) for idx in idxs])
-                oracles = harness._orbit_oracles(instances)
-                for idx, (phi, pts), (F, tau, merged) in zip(idxs, instances, oracles):
-                    phi_ref, pts_ref = _scalar_harness_instance(idx, harness._rng(cfg, 31, idx))
-                    assert phi == phi_ref
-                    assert np.array_equal(pts, phi.space.stack(pts_ref))
-                    F_ref, tau_ref, merged_ref = _scalar_orbit_oracle(phi, list(pts))
-                    assert F == F_ref and tau == tau_ref
-                    assert np.array_equal(merged, phi.space.stack(merged_ref))
+        for space in set(harness._ORBIT_SPACES):
+            same = [idx for idx in range(200) if harness._ORBIT_SPACES[idx % 3] == space]
+            for chunk in (harness._ORBIT_CHUNK, len(same)):
+                for start in range(0, len(same), chunk):
+                    idxs = same[start : start + chunk]
+                    instances = harness._orbit_instances(idxs, [harness._rng(cfg, 31, idx) for idx in idxs])
+                    oracles = harness._orbit_oracles(instances)
+                    for idx, (phi, pts), (F, tau, merged) in zip(idxs, instances, oracles):
+                        phi_ref, pts_ref = _scalar_harness_instance(idx, harness._rng(cfg, 31, idx))
+                        assert phi == phi_ref
+                        assert np.array_equal(pts, phi.space.stack(pts_ref))
+                        F_ref, tau_ref, merged_ref = _scalar_orbit_oracle(phi, list(pts))
+                        assert F == F_ref and tau == tau_ref
+                        assert np.array_equal(merged, phi.space.stack(merged_ref))
 
 
-def test_one_oracle_call_over_mixed_spaces_matches_the_one_instance_calls():
-    # The longer line instance pads the seam one, whose first point is the
-    # origin: a zero padding row must not count as a hit.
+def test_one_oracle_call_per_space_matches_the_one_instance_calls():
+    # The longer line instance pads the tolerance one, whose first point is
+    # the origin: a zero padding row must not count as a hit.
     line = Euclidean(1)
     longer = (EuclideanTranslation(line, (1.0,)), [[-3.0], [-2.5], [-1.0], [0.5], [2.0], [3.0]])
     instances = list(_seam_and_tolerance_instances()) + [longer]
-    assert len({phi.space for phi, _ in instances}) == 3
-    for (phi, pts), (F, tau, merged) in zip(instances, harness._orbit_oracles(instances)):
-        F_one, tau_one, merged_one = harness._orbit_oracles([(phi, pts)])[0]
-        assert F == F_one and tau == tau_one
-        assert np.array_equal(merged, merged_one)
+    spaces = {phi.space for phi, _ in instances}
+    assert len(spaces) == 3
+    for space in spaces:
+        same = [(phi, pts) for phi, pts in instances if phi.space == space]
+        assert len(same) > 1 or space != line
+        for (phi, pts), (F, tau, merged) in zip(same, harness._orbit_oracles(same)):
+            F_one, tau_one, merged_one = harness._orbit_oracles([(phi, pts)])[0]
+            assert F == F_one and tau == tau_one
+            assert np.array_equal(merged, merged_one)
 
 
 def test_seam_and_tolerance_instances_split_as_expected():

@@ -120,11 +120,13 @@ def test_min_coefficient_near_the_float_limit_is_finite_or_fails_closed():
     assert strict_criterion(near)
     # The all-1e308 matrix has the eigenvalue 2e308, beyond the float range.
     beyond = FourierSpectrum(group=Z2, coefficients=np.array([np.full((2, 2), 1e308), np.eye(2)]))
-    for spectrum in (beyond, FourierSpectrum(group=Z2, coefficients=np.array([np.nan, 1.0]))):
-        with pytest.raises(NonFiniteValue):
-            spectrum.min_coefficient()
-        with pytest.raises(NonFiniteValue):
-            strict_criterion(spectrum)
+    with pytest.raises(NonFiniteValue):
+        beyond.min_coefficient()
+    with pytest.raises(NonFiniteValue):
+        strict_criterion(beyond)
+    # A NaN scalar coefficient is refused before anything reads it.
+    with pytest.raises(NonFiniteValue):
+        FourierSpectrum(group=Z2, coefficients=np.array([np.nan, 1.0]))
 
 
 def test_a_non_hermitian_matrix_spectrum_is_refused_at_construction():

@@ -76,11 +76,56 @@ def test_sample_circle_min_sep():
 @pytest.mark.parametrize(
     "space, n, min_sep, field",
     [(Circle(), -1, 0.1, "n"), (FiniteAbelian((2, 3)), -1, 0.1, "n"),
-     (Circle(), 2, 0.0, "min_sep"), (Euclidean(2), 2, -1.0, "min_sep")],
+     (Circle(), 2, 0.0, "min_sep"), (Euclidean(2), 2, -1.0, "min_sep"),
+     (Circle(), 2.5, 0.1, "n"), (FiniteAbelian((2, 3)), 2.5, 0.1, "n"), (Circle(), 2, math.nan, "min_sep")],
 )
 def test_sample_distinct_refuses_a_bad_request_naming_its_field(space, n, min_sep, field):
     with pytest.raises(ConfigError, match=f"^{field}: "):
         sample_distinct(space, n, min_sep=min_sep, seed=0)
+
+
+def _rejection_loop(space, n, min_sep, seed):
+    """The loop ``sample_distinct`` ran before it drew through the separated-point
+    search: one draw and one distance test per attempt, for at most 1000 n
+    attempts (None if those did not place n points)."""
+    rng = np.random.default_rng(seed)
+    points = []
+    for _ in range(1000 * max(n, 1)):
+        if len(points) == n:
+            break
+        cand = space.canonicalize(space.random_point(rng))
+        if all(space.distance(cand, p) > min_sep for p in points):
+            points.append(cand)
+    return points if len(points) == n else None
+
+
+# Every continuous request the tests make of sample_distinct: (space, n, min_sep).
+SAMPLED = [
+    (Circle(), 6, 0.35), (Circle(), 5, 0.3), (Circle(), 12, 0.25), (Circle(), 10, 0.05),
+    (Circle(), 6, 0.2), (Euclidean(3), 12, 0.4), (Euclidean(2), 12, 0.3), (Euclidean(3), 1, 1e-3),
+    (Euclidean(2), 5, 0.1), (Euclidean(2), 6, 0.2), (ComplexSphere(2), 6, 0.2),
+]
+
+
+@pytest.mark.parametrize("space, n, min_sep", SAMPLED)
+def test_sample_distinct_draws_the_points_of_the_rejection_loop(space, n, min_sep):
+    for seed in range(300):
+        got = sample_distinct(space, n, min_sep=min_sep, seed=seed)
+        want = _rejection_loop(space, n, min_sep, seed)
+        assert len(got) == len(want) == n
+        for a, b in zip(got, want):
+            assert type(a) is type(b)
+            np.testing.assert_array_equal(np.asarray(a), np.asarray(b))
+
+
+def test_sample_distinct_restarts_where_the_rejection_loop_gave_up():
+    # 15 circle points 0.35 apart fill 5.25 of 2 pi: the loop runs out of its
+    # 15 000 attempts, while the search restarts the set after a dead end.
+    s = Circle()
+    assert _rejection_loop(s, 15, 0.35, 0) is None
+    pts = sample_distinct(s, 15, min_sep=0.35, seed=0)
+    assert len(pts) == 15
+    assert all(s.distance(a, b) > 0.35 for i, a in enumerate(pts) for b in pts[i + 1 :])
 
 
 def test_a_difference_table_over_the_cap_fails_closed():

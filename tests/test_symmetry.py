@@ -9,6 +9,7 @@ from kernelcex.errors import (
     InjectivityViolation,
     KernelCexError,
     MissingAdjoint,
+    NonFiniteValue,
     PeriodicityDetected,
 )
 from kernelcex.kernels import CircleExpCos
@@ -266,3 +267,22 @@ def test_inverse_adjoint_of_scaling_by_zero_is_missing():
     with pytest.raises(MissingAdjoint, match="scaling by 0"):
         phi.adjoint
     assert issubclass(MissingAdjoint, KernelCexError)
+
+
+def test_an_overflowing_image_fails_closed_in_every_check():
+    # A finite ratio whose images overflow to infinity; before images were
+    # checked, the injectivity evidence called this map injective.
+    line = Euclidean(1)
+    huge = EuclideanScaling(line, 1e308)
+    pts = [[1.0], [2.0]]
+    checks = [
+        lambda: check_injective_on(huge, pts),
+        lambda: check_aperiodic(huge, pts, 1),
+        lambda: check_center(huge, [EuclideanScaling(line, 2.0)], pts),
+        lambda: check_center(EuclideanScaling(line, 2.0), [huge], pts),
+        lambda: orbit_decompose(huge, pts),
+        lambda: check_injective_on(EuclideanTranslation(line, (1e308,)), [[1e308], [0.0]]),
+    ]
+    for check in checks:
+        with pytest.raises(NonFiniteValue, match="non-finite image"):
+            check()
