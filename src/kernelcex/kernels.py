@@ -93,11 +93,7 @@ class Gaussian(ScalarKernel):
 
     def __post_init__(self):
         super().__post_init__()
-        try:
-            valid = math.isfinite(self.sigma) and self.sigma > 0
-        except TypeError:
-            valid = False
-        if not valid:
+        if not _finite_float(self.sigma, "sigma") > 0:
             raise ConfigError(f"sigma: must be a positive finite number, got {self.sigma!r}")
 
     def block(self, X, Y) -> np.ndarray:

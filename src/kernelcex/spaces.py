@@ -75,14 +75,15 @@ def cyclic_orders(orders, name: str = "orders") -> tuple[int, ...]:
 
 
 def _finite_float(value, name: str) -> float:
-    """``value`` as a float; a value that is not a finite number is a ``ConfigError`` naming ``name``."""
+    """``value`` as a float; a value that is not a finite real number (a string
+    neither) is a ``ConfigError`` naming ``name``."""
     try:
-        number = float(value)
-    except (TypeError, ValueError, OverflowError):
-        number = math.nan
-    if not math.isfinite(number):
+        finite = math.isfinite(value)
+    except (TypeError, OverflowError):
+        finite = False
+    if not finite:
         raise ConfigError(f"{name}: must be a finite number, got {value!r}")
-    return number
+    return float(value)
 
 
 def _wrap_angle(a):
