@@ -75,8 +75,8 @@ def cyclic_orders(orders, name: str = "orders") -> tuple[int, ...]:
 
 
 def _finite_float(value, name: str) -> float:
-    """``value`` as a float; a value that is not a finite real number (a string
-    neither) is a ``ConfigError`` naming ``name``."""
+    """``value`` as a float; anything but a finite real number, a string
+    included, is a ``ConfigError`` naming ``name``."""
     try:
         finite = math.isfinite(value)
     except (TypeError, OverflowError):
