@@ -25,7 +25,7 @@ import numpy as np
 from .errors import NonFiniteValue, TooLarge, WrongLength, WrongSpaceKind
 from .kernels import GroupFourier, MatrixKernel, ScalarKernel
 from .numcore import PD_TOL, PDVerdict, _checked_stack, _symmetrized, classify_many
-from .spaces import FiniteAbelian, _finite_float, _table_elements
+from .spaces import FiniteAbelian, _differences, _finite_float, _table_elements
 
 STRICT_TOL = 1e-10
 MAX_BRUTE_SIZE = 200
@@ -198,3 +198,14 @@ def brute_force_strict(kernel, tol: float = PD_TOL) -> PDVerdict:
         raise TooLarge(f"dense Gram of size {size} exceeds the {MAX_BRUTE_SIZE} cap")
     elements = group.stack(group.elements())
     return classify_many(kernel.block(elements, elements)[None], tol)[0]
+
+
+def _full_group_grams(spectra) -> np.ndarray:
+    """The Grams ``brute_force_strict`` classifies for the ``spectrum_kernel``
+    of each spectrum (one group, one ell), as one (len(spectra), ell |G|, ell |G|)
+    stack: that kernel's block is psi at each element difference's index, so
+    each Gram gathers ``synthesize``'s psi through the cached difference table."""
+    n, ell = spectra[0].group.order, spectra[0].ell
+    psi = np.stack([synthesize(s) for s in spectra]).reshape(len(spectra), n, ell, ell)
+    # psi[:, table][k, a, b, i, j] = psi_k(e_a - e_b)[i, j] goes to row i n + a, column j n + b.
+    return psi[:, _differences(spectra[0].group)[1]].transpose(0, 3, 1, 4, 2).reshape(len(spectra), ell * n, ell * n)

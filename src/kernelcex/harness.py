@@ -31,9 +31,7 @@ from .errors import ConfigError, KernelCexError
 from .fourier import (
     FourierSpectrum,
     analyze,
-    brute_force_strict,
     character_table,
-    spectrum_kernel,
     strict_criterion,
     synthesize,
 )
@@ -59,10 +57,11 @@ from .symmetry import (
     EuclideanScaling,
     EuclideanTranslation,
     SymmetryMap,
+    _orbit_splits,
+    _padded,
     check_aperiodic,
     check_center,
     check_injective_on,
-    orbit_decompose,
 )
 
 # Merged point sets (samples together with their images) must stay this far
@@ -565,14 +564,6 @@ _ORBIT_CHUNK = 50
 _ORBIT_GAP = 1e-3
 
 
-def _padded(stacks, width: int) -> np.ndarray:
-    """Point stacks padded with zero rows to one (len(stacks), width, ...) stack."""
-    out = np.zeros((len(stacks), width) + stacks[0].shape[1:], stacks[0].dtype)
-    for r, X in enumerate(stacks):
-        out[r, : len(X)] = X
-    return out
-
-
 def _orbit_oracles(instances):
     """Brute-force orbit split of each (map, points) instance, all maps acting on
     one space: F, tau and the merged point set as a stack.
@@ -617,8 +608,9 @@ def _orbit_setup(idx: int, rng: np.random.Generator):
         phi = EuclideanTranslation(space, (float(rng.uniform(0.4, 1.6)),))
         seeder = lambda: rng.uniform(-8.0, 8.0, 1)
     elif family == 1:
-        phi = EuclideanScaling(space, float(rng.choice([2.0, -2.0, 1.5, 2.5])))
-        seeder = lambda: np.array([rng.uniform(0.2, 3.0) * rng.choice([-1.0, 1.0])])
+        # Indexing a tuple by ``integers(k)`` draws what ``rng.choice`` of the list draws.
+        phi = EuclideanScaling(space, (2.0, -2.0, 1.5, 2.5)[int(rng.integers(4))])
+        seeder = lambda: np.array([rng.uniform(0.2, 3.0) * (-1.0, 1.0)[int(rng.integers(2))]])
     else:
         phi = CircleRotation(space, float(rng.uniform(0.3, 2.6)))
         seeder = lambda: rng.uniform(-math.pi, math.pi)
@@ -674,50 +666,42 @@ def _orbit_instances(idxs, rngs):
 
 
 def _orbit_checks(cfg: SuiteConfig):
-    """Every orbit instance of the suite with its oracle split, made
-    ``_ORBIT_CHUNK`` instances of one space at a time."""
+    """Every orbit instance of the suite with its oracle split, as chunks of
+    ``_ORBIT_CHUNK`` instances of one space."""
     for space in dict.fromkeys(_ORBIT_SPACES):
         idxs = [idx for idx in range(cfg.orbit_instances) if _ORBIT_SPACES[idx % 3] == space]
         for chunk in _chunks(len(idxs), _ORBIT_CHUNK):
             batch = [idxs[c] for c in chunk]
             instances = _orbit_instances(batch, [_rng(cfg, 31, idx) for idx in batch])
-            yield from zip(instances, _orbit_oracles(instances))
+            yield instances, _orbit_oracles(instances)
 
 
 def _suite_orbit(cfg: SuiteConfig) -> list[CheckRecord]:
+    """Each instance's split against its oracle's: one stacked split per chunk
+    (``orbit_decompose`` is its one-instance view), one padded z-point check."""
     mismatches = 0
     checked = 0
     escape_failures = 0
-    for (phi, pts), (F, tau, merged) in _orbit_checks(cfg):
-        space = phi.space
-        try:
-            dec = orbit_decompose(phi, pts)
-        except KernelCexError:
-            mismatches += 1
-            continue
-        checked += 1
-        # close[i, j]: z point i coincides with merged point j.
-        close = space.distances(space.stack(dec.z_points), merged) <= space.eq_tol
-        ok = (
-            list(dec.F) == F
-            and dec.tau == tau
-            and dec.m + 2 * dec.p == len(merged)
-            and len(dec.z_points) == len(merged)
-            and close.any(axis=1).all()
-            and close.any(axis=0).all()
-        )
-        if not ok:
-            mismatches += 1
-        fset = set(dec.F)
-        for mu in dec.F:
-            cur = mu
-            hops = 0
-            while cur in fset:
-                cur = dec.tau[cur]
-                hops += 1
-                if hops > len(pts):
-                    escape_failures += 1
-                    break
+    for instances, oracles in _orbit_checks(cfg):
+        space = instances[0][0].space
+        splits, Z = _orbit_splits(instances)
+        merged = _padded([m for _, _, m in oracles], max(len(m) for _, _, m in oracles))
+        # close[r, i, j]: in instance r, z point i coincides with merged point j.
+        close = space.distances(Z, merged) <= space.eq_tol
+        for (_, pts), dec, (F, tau, merged_r), close_r in zip(instances, splits, oracles, close):
+            if isinstance(dec, KernelCexError):
+                mismatches += 1
+                continue
+            checked += 1
+            close_r = close_r[: len(dec.z_points), : len(merged_r)]
+            if not (list(dec.F) == F and dec.tau == tau and dec.m + 2 * dec.p == len(dec.z_points) == len(merged_r)
+                    and close_r.any(axis=1).all() and close_r.any(axis=0).all()):
+                mismatches += 1
+            for mu in dec.F:  # tau's keys are F
+                cur, hops = mu, 0
+                while cur in dec.tau and hops <= len(pts):
+                    cur, hops = dec.tau[cur], hops + 1
+                escape_failures += hops > len(pts)
     return [
         _rec(
             "oracle-agreement",
@@ -813,9 +797,10 @@ def _suite_abelian_roundtrip(cfg: SuiteConfig) -> list[CheckRecord]:
 
 
 def _suite_abelian_strictness(cfg: SuiteConfig) -> list[CheckRecord]:
+    """Each spectrum's criterion against the verdict on its full-group Gram,
+    the spectra of one (group, ell) class stacked for one ``classify_many``."""
     rng = _rng(cfg, 42)
-    disagreements = 0
-    checked = {1: 0, 2: 0, 3: 0}
+    classes = {}
     for i in range(cfg.spectra):
         group = FiniteAbelian(_GROUP_CATALOG[int(rng.integers(len(_GROUP_CATALOG)))])
         ell = (i % 3) + 1
@@ -824,10 +809,14 @@ def _suite_abelian_strictness(cfg: SuiteConfig) -> list[CheckRecord]:
             spectrum = _random_scalar_spectrum(group, rng, strict)
         else:
             spectrum = _random_matrix_spectrum(group, ell, rng, strict)
-        criterion = strict_criterion(spectrum, cfg.strict_tol)
-        verdict = brute_force_strict(spectrum_kernel(spectrum), cfg.pd_tol)
-        disagreements += not (verdict.is_positive_definite if criterion else verdict.is_degenerate)
-        checked[ell] += 1
+        classes.setdefault((group, ell), []).append((spectrum, strict_criterion(spectrum, cfg.strict_tol)))
+    disagreements = 0
+    checked = {1: 0, 2: 0, 3: 0}
+    for (_, ell), members in classes.items():
+        verdicts = classify_many(fourier._full_group_grams([s for s, _ in members]), cfg.pd_tol)
+        for verdict, (_, criterion) in zip(verdicts, members):
+            disagreements += not (verdict.is_positive_definite if criterion else verdict.is_degenerate)
+        checked[ell] += len(members)
     return [
         _rec(
             "criterion-oracle-agreement",

@@ -297,49 +297,89 @@ def orbit_decompose(phi: SymmetryMap, points) -> OrbitDecomposition:
     Raises ``InjectivityViolation`` when two points share an image and
     ``PeriodicityDetected`` when every image stays inside the input list or
     the index map tau closes a cycle; both certify that the map violates
-    the caller-asserted hypotheses on these points.
+    the caller-asserted hypotheses on these points. This is the one-instance
+    view of ``_orbit_splits``.
     """
-    space = phi.space
-    X = space.stack(points)
-    n = len(X)
-    if n == 0:
-        raise ConfigError("points: must be nonempty")
-    images = _images(phi, X)
+    split = _orbit_splits([(phi, phi.space.stack(points))])[0][0]
+    if isinstance(split, Exception):
+        raise split
+    return split
 
-    shared = np.argwhere(np.triu(space.distances(images, images) <= space.eq_tol, 1))
-    if len(shared):
-        i, j = shared[0]
-        raise InjectivityViolation(f"points at indices {i} and {j} share an image")
 
-    # hits[mu, nu]: the image of point mu coincides with point nu.
-    hits = space.distances(images, X) <= space.eq_tol
-    counts = hits.sum(axis=1)
-    crowded = np.flatnonzero(counts > 1)
-    if len(crowded):
-        mu = crowded[0]
-        raise InjectivityViolation(
-            f"image of index {mu} matches several input points {np.flatnonzero(hits[mu]).tolist()}; "
-            "point separation is too small for the equality tolerance"
-        )
-    F = np.flatnonzero(counts).tolist()
-    tau = dict(zip(F, hits[F].argmax(axis=1).tolist()))
-    m = len(F)
-    p = n - m
-    if m == n:
-        raise PeriodicityDetected("every image is again an input point, so tau is a permutation")
+def _padded(stacks, width: int) -> np.ndarray:
+    """Point stacks padded with zero rows to one (len(stacks), width, ...) stack."""
+    out = np.zeros((len(stacks), width) + stacks[0].shape[1:], stacks[0].dtype)
+    for r, X in enumerate(stacks):
+        out[r, : len(X)] = X
+    return out
 
-    # Escape check: following tau from any mu in F must leave F; a revisit
-    # means phi is periodic on these points.
-    F_set = set(F)
+
+def _orbit_splits(instances) -> tuple[list, np.ndarray]:
+    """The orbit split of each (map, canonical point stack) instance, all maps
+    acting on one space: the ``OrbitDecomposition`` or the error that
+    ``orbit_decompose`` raises (checked in its order: empty input, non-finite
+    image, shared image, crowded hit, permutation, cycle), and a stack whose
+    row r begins with split r's z points. The instances are padded to one
+    stack, so one ``distances`` call finds all shared images and one all hits.
+    """
+    space = instances[0][0].space
+    stacks = [X for _, X in instances]
+    with np.errstate(over="ignore"):
+        images = [phi.apply_many(X) if len(X) else X for phi, X in instances]
+    width = max(1, *(len(X) for X in stacks))
+    X, Y = _padded(stacks, width), _padded(images, width)
+    finite = np.isfinite(Y).reshape(len(Y), -1).all(axis=1)
+    Y[~finite] = 0
+    splits = [ConfigError("points: must be nonempty") if not len(Xr)
+              else None if ok else NonFiniteValue(f"{phi.action_kind} sends a point to a non-finite image")
+              for (phi, Xr), ok in zip(instances, finite.tolist())]
+    n = np.array([0 if split else len(Xr) for split, Xr in zip(splits, stacks)])
+    real = np.arange(width) < n[:, None]
+    pair = real[:, :, None] & real[:, None, :]
+    shared = np.triu(space.distances(Y, Y) <= space.eq_tol, 1) & pair
+    # hits[r, mu, nu]: in instance r, the image of point mu coincides with point nu.
+    hits = (space.distances(Y, X) <= space.eq_tol) & pair
+    counts = hits.sum(axis=2)
+    # z: the hit points, the images that hit none, the points never hit.
+    hit = hits.any(axis=1)
+    keep = np.concatenate([hit, real & (counts == 0), real & ~hit], axis=1)
+    order = np.argsort(~keep, axis=1, kind="stable").reshape(keep.shape + (1,) * (X.ndim - 2))
+    Z = np.take_along_axis(np.concatenate([X, Y, X], axis=1), order, axis=1)
+    n_z = keep.sum(axis=1)
+    shared_any, crowded_any = shared.any(axis=(1, 2)).tolist(), (counts > 1).any(axis=1).tolist()
+    counts_l, first_l = counts.tolist(), hits.argmax(axis=2).tolist()
+    for r in np.flatnonzero(n).tolist():
+        if shared_any[r]:
+            i, j = np.argwhere(shared[r])[0]
+            splits[r] = InjectivityViolation(f"points at indices {i} and {j} share an image")
+            continue
+        if crowded_any[r]:
+            mu = np.flatnonzero(counts[r] > 1)[0]
+            splits[r] = InjectivityViolation(
+                f"image of index {mu} matches several input points {np.flatnonzero(hits[r, mu]).tolist()}; "
+                "point separation is too small for the equality tolerance"
+            )
+            continue
+        F = [mu for mu, count in enumerate(counts_l[r]) if count]
+        tau = {mu: first_l[r][mu] for mu in F}
+        if len(F) == n[r]:
+            splits[r] = PeriodicityDetected("every image is again an input point, so tau is a permutation")
+        elif (cur := _first_revisit(F, tau)) is not None:
+            splits[r] = PeriodicityDetected(f"tau cycles through index {cur}")
+        else:
+            splits[r] = OrbitDecomposition(F=tuple(F), tau=tau, m=len(F), p=len(stacks[r]) - len(F),
+                                           z_points=tuple(space.unstack(Z[r, : n_z[r]])))
+    return splits, Z
+
+
+def _first_revisit(F, tau) -> int | None:
+    """Where tau, followed from each index of F in turn while it stays in F,
+    first comes back to an index of that path; None if every path leaves F."""
     for mu in F:
-        seen = {mu}
-        cur = mu
-        while cur in F_set:
+        seen, cur = {mu}, mu
+        while cur in tau:  # tau's keys are F
             cur = tau[cur]
             if cur in seen:
-                raise PeriodicityDetected(f"tau cycles through index {cur}")
+                return cur
             seen.add(cur)
-
-    hit = hits.any(axis=0)
-    z = np.concatenate([X[hit], images[counts == 0], X[~hit]])
-    return OrbitDecomposition(F=tuple(F), tau=tau, m=m, p=p, z_points=tuple(space.unstack(z)))
+    return None
