@@ -11,7 +11,10 @@ against a dense character table, which is exact enough and ample at the
 supported sizes.
 
 The group is written additively; x - y componentwise mod q_r plays the
-role of composing with the inverse element.
+role of composing with the inverse element. ``brute_force_strict`` is the
+generic strictness oracle for one kernel; the full-group Grams of a class of
+spectra (one group, one ell) are built as one stack by gathering each
+``synthesize`` table through the cached table of element differences.
 """
 
 from __future__ import annotations

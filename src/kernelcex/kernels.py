@@ -27,7 +27,6 @@ enforces it when the kernel is built.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +41,7 @@ from .errors import (
     ZeroVector,
 )
 from .numcore import RESID_TOL, HermitianMatrix
-from .spaces import Circle, ComplexSphere, Euclidean, FiniteAbelian, Space, _finite_float, check_space
+from .spaces import Circle, ComplexSphere, Euclidean, FiniteAbelian, Space, _count, _finite_float, check_space
 from .symmetry import SymmetryMap
 
 
@@ -243,9 +242,7 @@ class MatrixKernel:
     entries: tuple[tuple[ScalarKernel, ...], ...]
 
     def __post_init__(self):
-        # NaN and an infinity fail the test too.
-        if not 1 <= self.ell < math.inf:
-            raise ConfigError(f"ell: must be at least 1 and finite, got {self.ell!r}")
+        object.__setattr__(self, "ell", _count(self.ell, "ell"))
         grid = tuple(tuple(row) for row in self.entries)
         if len(grid) != self.ell or any(len(row) != self.ell for row in grid):
             raise DimensionMismatch("entries must form an ell x ell grid")

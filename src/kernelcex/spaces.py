@@ -74,6 +74,15 @@ def cyclic_orders(orders, name: str = "orders") -> tuple[int, ...]:
     return checked
 
 
+def _count(value, name: str) -> int:
+    """``value`` as an int of at least 1; a bool, a non-integral or non-finite
+    number, or anything but a number is a ``ConfigError`` naming ``name``."""
+    numeric = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    if not (numeric and 1 <= value < math.inf and value == int(value)):
+        raise ConfigError(f"{name}: must be an integer of at least 1, got {value!r}")
+    return int(value)
+
+
 def _finite_float(value, name: str) -> float:
     """``value`` as a float; anything but a finite real number, a string
     included, is a ``ConfigError`` naming ``name``."""
@@ -112,9 +121,8 @@ class Space:
     point_ndim = 1
 
     def __post_init__(self):
-        # NaN and an infinity fail the test too.
-        if not 1 <= getattr(self, "dim", 1) < math.inf:
-            raise ConfigError(f"dim: must be at least 1 and finite, got {self.dim!r}")
+        if hasattr(self, "dim"):
+            object.__setattr__(self, "dim", _count(self.dim, "dim"))
         # A NaN, infinite or negative eq_tol makes every ``distance <= eq_tol`` false.
         if not 0.0 <= self.eq_tol < math.inf:
             raise ConfigError(f"eq_tol: must be a nonnegative finite number, got {self.eq_tol!r}")

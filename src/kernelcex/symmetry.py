@@ -6,6 +6,8 @@ points, a power bound) and report violations; they never claim proof.
 Map parameters are plain floats and tuples, so maps compare by value; a NaN or
 infinite parameter is a ``ConfigError`` that names it. The checks and the orbit
 split raise ``NonFiniteValue`` on a non-finite image (an overflowing scaling).
+The orbit split runs on a chunk of instances at once, and ``orbit_decompose``
+is its one-instance view.
 The declared type of a map's ``space`` field is the rule for where it acts,
 and ``spaces.check_space`` enforces it when the map is built.
 """

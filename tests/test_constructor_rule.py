@@ -94,3 +94,29 @@ def test_a_non_finite_parameter_is_refused_at_construction_by_name(site, value):
 def test_each_site_takes_a_well_formed_number(key):
     # So that a refusal above is the value's, not the call's.
     SITES[key][0](2)
+
+
+# The integer parameters. A bool, a non-integral number and a string are
+# refused by name, as the JSON decoder refuses them ("dim: expected an
+# integer"); an integral float or a numpy integer builds, stored as an int.
+INTEGER_SITES = [(Euclidean, "dim"), (ComplexSphere, "dim"), (MatrixKernel, "ell")]
+NOT_INTEGERS = [("true", True), ("false", False), ("2.5", 2.5), ("numpy-1.5", np.float64(1.5)), ("string", "2")]
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [pytest.param(key, value, id=f"{key[0].__name__}.{key[1]}-{value_id}")
+     for key in INTEGER_SITES for value_id, value in NOT_INTEGERS],
+)
+def test_a_bool_or_non_integral_count_is_refused_at_construction_by_name(key, value):
+    build, error, name = SITES[key]
+    with pytest.raises(error, match=f"^{name}must be an integer of at least 1"):
+        build(value)
+
+
+@pytest.mark.parametrize("key", INTEGER_SITES, ids=[f"{cls.__name__}.{name}" for cls, name in INTEGER_SITES])
+@pytest.mark.parametrize("value", [2.0, np.int64(2)], ids=["float", "numpy-int"])
+def test_an_integral_count_is_stored_as_an_int(key, value):
+    cls, field = key
+    built = SITES[key][0](value)
+    assert type(getattr(built, field)) is int and built == SITES[key][0](2)
