@@ -796,9 +796,13 @@ def _suite_abelian_roundtrip(cfg: SuiteConfig) -> list[CheckRecord]:
     ]
 
 
+# Entries per stack of full-group Grams (at least one Gram): it bounds the peak memory.
+_GRAM_STACK_ENTRIES = 8192
+
+
 def _suite_abelian_strictness(cfg: SuiteConfig) -> list[CheckRecord]:
-    """Each spectrum's criterion against the verdict on its full-group Gram,
-    the spectra of one (group, ell) class stacked for one ``classify_many``."""
+    """Each spectrum's criterion against the verdict on its full-group Gram; the
+    Grams of one (group, ell) class go to ``classify_many`` as a few stacks."""
     rng = _rng(cfg, 42)
     classes = {}
     for i in range(cfg.spectra):
@@ -812,10 +816,11 @@ def _suite_abelian_strictness(cfg: SuiteConfig) -> list[CheckRecord]:
         classes.setdefault((group, ell), []).append((spectrum, strict_criterion(spectrum, cfg.strict_tol)))
     disagreements = 0
     checked = {1: 0, 2: 0, 3: 0}
-    for (_, ell), members in classes.items():
-        verdicts = classify_many(fourier._full_group_grams([s for s, _ in members]), cfg.pd_tol)
-        for verdict, (_, criterion) in zip(verdicts, members):
-            disagreements += not (verdict.is_positive_definite if criterion else verdict.is_degenerate)
+    for (group, ell), members in classes.items():
+        for chunk in _chunks(len(members), max(1, _GRAM_STACK_ENTRIES // (group.order * ell) ** 2)):
+            verdicts = classify_many(fourier._full_group_grams([members[c][0] for c in chunk]), cfg.pd_tol)
+            for verdict, c in zip(verdicts, chunk):
+                disagreements += not (verdict.is_positive_definite if members[c][1] else verdict.is_degenerate)
         checked[ell] += len(members)
     return [
         _rec(

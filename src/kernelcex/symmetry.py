@@ -384,4 +384,3 @@ def _first_revisit(F, tau) -> int | None:
             if cur in seen:
                 return cur
             seen.add(cur)
-    return None
