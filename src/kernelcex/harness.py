@@ -724,6 +724,8 @@ _GROUP_CATALOG = [
     (2,), (3,), (4,), (5,), (6,), (8,), (12,), (24,),
     (2, 2), (2, 3), (3, 4), (2, 2, 2), (2, 3, 4), (2, 2, 3),
 ]
+# Entries per stack of full-group Grams (at least one Gram): it bounds the peak memory.
+_GRAM_STACK_ENTRIES = 8192
 
 
 def _random_scalar_spectrum(group: FiniteAbelian, rng: np.random.Generator, strict: bool):
@@ -794,10 +796,6 @@ def _suite_abelian_roundtrip(cfg: SuiteConfig) -> list[CheckRecord]:
             max_residual=worst_orth,
         ),
     ]
-
-
-# Entries per stack of full-group Grams (at least one Gram): it bounds the peak memory.
-_GRAM_STACK_ENTRIES = 8192
 
 
 def _suite_abelian_strictness(cfg: SuiteConfig) -> list[CheckRecord]:
