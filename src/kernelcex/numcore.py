@@ -90,8 +90,10 @@ def _checked_stack(matrices, ndim: int) -> np.ndarray:
                                 f"matrix, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise NonFiniteValue("matrix has NaN or infinite entries")
-    entry_scale = np.max(np.abs(arr), axis=(-2, -1), initial=0.0)
-    asym = np.max(np.abs(arr - np.swapaxes(arr, -2, -1).conj()), axis=(-2, -1), initial=0.0)
+    # A difference that overflows is an asymmetry beyond any tolerance.
+    with np.errstate(over="ignore"):
+        entry_scale = np.max(np.abs(arr), axis=(-2, -1), initial=0.0)
+        asym = np.max(np.abs(arr - np.swapaxes(arr, -2, -1).conj()), axis=(-2, -1), initial=0.0)
     bad = np.ravel(asym > HERM_TOL * np.maximum(entry_scale, 1e-300))
     if bad.any():
         i = int(np.argmax(bad))

@@ -75,6 +75,15 @@ def test_non_hermitian_input_rejected():
         HermitianMatrix(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
+def test_an_asymmetry_that_overflows_is_refused_without_a_warning():
+    # The diagonal's imaginary part minus its conjugate, 1.8e308, overflows.
+    m = np.array([[1.0, 0.5 + 0.5j], [0.5 - 0.5j, 1.0 + 8.98846567431158e307j]])
+    with pytest.raises(NonHermitianInput, match="asymmetry inf"):
+        HermitianMatrix(m)
+    with pytest.raises(NonHermitianInput, match="^matrix 0: asymmetry inf"):
+        classify_many([m, np.eye(2)])
+
+
 def test_hermitian_accepts_rounding_asymmetry():
     m = np.array([[1.0, 0.5 + 1e-14], [0.5, 1.0]])
     HermitianMatrix(m)
