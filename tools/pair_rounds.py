@@ -30,6 +30,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+# The suites of the in-process workloads of bench/workloads.py.
 WORKLOADS = {
     "suites-finite": ("orbit-decomposition", "abelian-roundtrip", "abelian-strictness", "embed-check",
                       "negative-controls"),
