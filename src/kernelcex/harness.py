@@ -798,11 +798,19 @@ def _suite_abelian_roundtrip(cfg: SuiteConfig) -> list[CheckRecord]:
     ]
 
 
+def _gram_disagreements(members, pd_tol: float) -> int:
+    """How many (spectrum, criterion) pairs of one class disagree with the verdicts on their Grams."""
+    grams = fourier._full_group_grams([spectrum for spectrum, _ in members])
+    return sum(not (verdict.is_positive_definite if strict else verdict.is_degenerate)
+               for verdict, (_, strict) in zip(classify_many(grams, pd_tol), members))
+
+
 def _suite_abelian_strictness(cfg: SuiteConfig) -> list[CheckRecord]:
     """Each spectrum's criterion against the verdict on its full-group Gram; the
-    Grams of one (group, ell) class go to ``classify_many`` as a few stacks."""
+    Grams of one (group, ell) class go to ``classify_many`` as a stack as soon
+    as the class holds a full one, and what is left after the draws at the end."""
     rng = _rng(cfg, 42)
-    classes = {}
+    pending, disagreements, checked = {}, 0, {1: 0, 2: 0, 3: 0}
     for i in range(cfg.spectra):
         group = FiniteAbelian(_GROUP_CATALOG[int(rng.integers(len(_GROUP_CATALOG)))])
         ell = (i % 3) + 1
@@ -811,15 +819,12 @@ def _suite_abelian_strictness(cfg: SuiteConfig) -> list[CheckRecord]:
             spectrum = _random_scalar_spectrum(group, rng, strict)
         else:
             spectrum = _random_matrix_spectrum(group, ell, rng, strict)
-        classes.setdefault((group, ell), []).append((spectrum, strict_criterion(spectrum, cfg.strict_tol)))
-    disagreements = 0
-    checked = {1: 0, 2: 0, 3: 0}
-    for (group, ell), members in classes.items():
-        for chunk in _chunks(len(members), max(1, _GRAM_STACK_ENTRIES // (group.order * ell) ** 2)):
-            verdicts = classify_many(fourier._full_group_grams([members[c][0] for c in chunk]), cfg.pd_tol)
-            for verdict, c in zip(verdicts, chunk):
-                disagreements += not (verdict.is_positive_definite if members[c][1] else verdict.is_degenerate)
-        checked[ell] += len(members)
+        members = pending.setdefault((group, ell), [])
+        members.append((spectrum, strict_criterion(spectrum, cfg.strict_tol)))
+        checked[ell] += 1
+        if len(members) >= max(1, _GRAM_STACK_ENTRIES // (group.order * ell) ** 2):
+            disagreements += _gram_disagreements(pending.pop((group, ell)), cfg.pd_tol)
+    disagreements += sum(_gram_disagreements(members, cfg.pd_tol) for members in pending.values())
     return [
         _rec(
             "criterion-oracle-agreement",

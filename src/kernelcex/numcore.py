@@ -82,18 +82,24 @@ class PDVerdict:
 
 def _checked_stack(matrices, ndim: int) -> np.ndarray:
     """Square complex matrices (ndim 2) or a stack of them (ndim 3), each
-    finite and Hermitian up to ``HERM_TOL`` times its largest entry; a
-    refusal of a stack names the first offending matrix by its index."""
+    finite, with finite entry moduli, and Hermitian up to ``HERM_TOL`` times
+    its largest entry; a refusal of a stack names the first offending matrix
+    by its index."""
     arr = np.array(matrices, dtype=np.complex128)
     if arr.ndim != ndim or arr.shape[-1] != arr.shape[-2] or arr.shape[-1] < 1:
         raise DimensionMismatch(f"expected {'a stack of ' if ndim == 3 else 'a '}square "
                                 f"matrix, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise NonFiniteValue("matrix has NaN or infinite entries")
-    # A difference that overflows is an asymmetry beyond any tolerance.
+    # A modulus that overflows bounds the spectrum from below, so no verdict
+    # is finite; a difference that overflows is beyond any tolerance.
     with np.errstate(over="ignore"):
         entry_scale = np.max(np.abs(arr), axis=(-2, -1), initial=0.0)
         asym = np.max(np.abs(arr - np.swapaxes(arr, -2, -1).conj()), axis=(-2, -1), initial=0.0)
+    overflow = np.ravel(np.isinf(entry_scale))
+    if overflow.any():
+        where = f"matrix {int(np.argmax(overflow))}: " if ndim == 3 else ""
+        raise NonFiniteValue(f"{where}an entry's modulus overflows")
     bad = np.ravel(asym > HERM_TOL * np.maximum(entry_scale, 1e-300))
     if bad.any():
         i = int(np.argmax(bad))

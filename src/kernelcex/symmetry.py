@@ -318,23 +318,21 @@ def _padded(stacks, width: int) -> np.ndarray:
 
 def _orbit_splits(instances) -> tuple[list, np.ndarray]:
     """The orbit split of each (map, canonical point stack) instance, all maps
-    acting on one space: the ``OrbitDecomposition`` or the error that
-    ``orbit_decompose`` raises (checked in its order: empty input, non-finite
-    image, shared image, crowded hit, permutation, cycle), and a stack whose
-    row r begins with split r's z points. The instances are padded to one
-    stack, so one ``distances`` call finds all shared images and one all hits.
-    """
+    on one space: the ``OrbitDecomposition`` or the error ``orbit_decompose``
+    raises (in its order: empty input, non-finite image, shared image, crowded
+    hit, permutation, cycle), and a stack whose row r begins with split r's z
+    points; one padded ``distances`` call finds all shared images, one all hits."""
     space = instances[0][0].space
     stacks = [X for _, X in instances]
-    with np.errstate(over="ignore"):
-        images = [phi.apply_many(X) if len(X) else X for phi, X in instances]
+    outcomes = []  # (error or None, images) per instance
+    for phi, Xr in instances:
+        try:
+            outcomes.append((None, _images(phi, Xr)) if len(Xr) else (ConfigError("points: must be nonempty"), Xr))
+        except NonFiniteValue as exc:
+            outcomes.append((exc, np.zeros_like(Xr)))
+    splits, images = map(list, zip(*outcomes))
     width = max(1, *(len(X) for X in stacks))
     X, Y = _padded(stacks, width), _padded(images, width)
-    finite = np.isfinite(Y).reshape(len(Y), -1).all(axis=1)
-    Y[~finite] = 0
-    splits = [ConfigError("points: must be nonempty") if not len(Xr)
-              else None if ok else NonFiniteValue(f"{phi.action_kind} sends a point to a non-finite image")
-              for (phi, Xr), ok in zip(instances, finite.tolist())]
     n = np.array([0 if split else len(Xr) for split, Xr in zip(splits, stacks)])
     real = np.arange(width) < n[:, None]
     pair = real[:, :, None] & real[:, None, :]

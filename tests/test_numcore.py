@@ -82,6 +82,14 @@ def test_an_asymmetry_that_overflows_is_refused_without_a_warning():
         HermitianMatrix(m)
     with pytest.raises(NonHermitianInput, match="^matrix 0: asymmetry inf"):
         classify_many([m, np.eye(2)])
+    # A finite entry whose modulus overflows (2.1e308) gives no finite verdict.
+    big = np.array([[1.5e308 + 1.5e308j]])
+    with pytest.raises(NonFiniteValue, match="^an entry's modulus overflows"):
+        HermitianMatrix(big)
+    with pytest.raises(NonFiniteValue, match="^matrix 1: an entry's modulus overflows"):
+        classify_many([np.eye(1), big])
+    with pytest.raises(NonFiniteValue, match="^an entry's modulus overflows"):
+        classify(np.array([[1.0, 1.5e308 + 1.5e308j], [1.5e308 - 1.5e308j, 1.0]]))
 
 
 def test_hermitian_accepts_rounding_asymmetry():

@@ -151,3 +151,34 @@ def test_the_class_gram_stack_is_the_kernel_gram(orders):
             assert np.max(np.abs(gram - want)) <= 1e-15 * np.max(np.abs(want))
             assert verdict.kind is fourier.brute_force_strict(fourier.spectrum_kernel(spectrum)).kind
         assert [v.is_positive_definite for v in verdicts] == [True, False]
+
+
+def test_abelian_strictness_classifies_each_full_stack_as_it_fills(monkeypatch):
+    drawn, stacks = [], []
+    full_group_grams, strict_criterion = fourier._full_group_grams, harness.strict_criterion
+
+    def recorded_criterion(spectrum, strict_tol):
+        drawn.append(spectrum)
+        return strict_criterion(spectrum, strict_tol)
+
+    def recorded_grams(spectra):
+        ell = spectra[0].coefficients.shape[1] if spectra[0].coefficients.ndim == 3 else 1
+        stacks.append((spectra[0].group, ell, len(spectra), spectra[-1] is drawn[-1]))
+        return full_group_grams(spectra)
+
+    monkeypatch.setattr(harness, "strict_criterion", recorded_criterion)
+    monkeypatch.setattr(fourier, "_full_group_grams", recorded_grams)
+    report = harness.run_suite(SuiteConfig.from_dict({"suite": "abelian-strictness", "seed": 3, "spectra": 600}))
+    assert report.passed and len(drawn) == 600
+    assert sum(count for _, _, count, _ in stacks) == 600
+    leftovers, full_stacks = set(), 0
+    for group, ell, count, just_drawn in stacks:
+        full = max(1, harness._GRAM_STACK_ENTRIES // (group.order * ell) ** 2)
+        assert count <= full
+        if count == full:  # classified as its last spectrum is drawn, so few are held at once
+            assert just_drawn
+            full_stacks += 1
+        else:  # only what is left after the draws is short of a stack
+            assert (group, ell) not in leftovers
+            leftovers.add((group, ell))
+    assert full_stacks > 0

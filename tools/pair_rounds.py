@@ -8,7 +8,7 @@ A round runs every suite of the workload at one seed in process, as
 ``verify SUITE --format json`` does, and is timed from the first suite's
 config to the last report. Each tree gets one long-lived worker process that
 imports that tree's ``src/`` and runs one untimed warm-up round. Pair k then
-times two rounds in each worker at seed ``--seed`` + k in ABBA order (parent,
+times two rounds in each worker at seed ``BASE_SEED`` + k in ABBA order (parent,
 change, change, parent in odd pairs; the trees swap in even ones), and takes
 each tree's mean, so a drift in the machine's load falls on both trees alike.
 
@@ -38,6 +38,7 @@ WORKLOADS = {
 }
 RESAMPLES = 2000
 BOOTSTRAP_SEED = 20221130
+BASE_SEED = 1000  # pair k runs at seed BASE_SEED + k; the warm-up round at BASE_SEED
 
 # A worker: argv is the tree's src/ and the suites as JSON. It prints the
 # imported module's path, then reads one seed per line and prints the
@@ -107,7 +108,7 @@ def bootstrap_interval(ratios, resamples=RESAMPLES, seed=BOOTSTRAP_SEED) -> tupl
     return medians[int(0.025 * resamples)], medians[int(0.975 * resamples) - 1]
 
 
-def run_pairs(parent: Worker, change: Worker, pairs: int, seed: int) -> list[tuple[int, float, float]]:
+def run_pairs(parent: Worker, change: Worker, pairs: int, seed: int = BASE_SEED) -> list[tuple[int, float, float]]:
     """(seed, parent seconds, change seconds) of each pair: the mean of two
     rounds per tree, run in ABBA order."""
     out = []
@@ -126,7 +127,6 @@ def main(argv=None) -> int:
     parser.add_argument("change")
     parser.add_argument("--workload", choices=sorted(WORKLOADS), required=True)
     parser.add_argument("--pairs", type=int, default=20)
-    parser.add_argument("--seed", type=int, default=1000, help="pair k runs at seed SEED + k")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -135,8 +135,8 @@ def main(argv=None) -> int:
     try:
         workers = [Worker(args.parent, suites), Worker(args.change, suites)]
         for worker in workers:
-            worker.round_s(args.seed)  # the untimed warm-up round
-        results = run_pairs(*workers, args.pairs, args.seed)
+            worker.round_s(BASE_SEED)  # the untimed warm-up round
+        results = run_pairs(*workers, args.pairs)
     except (WorkerFailed, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
