@@ -108,16 +108,16 @@ def bootstrap_interval(ratios, resamples=RESAMPLES, seed=BOOTSTRAP_SEED) -> tupl
     return medians[int(0.025 * resamples)], medians[int(0.975 * resamples) - 1]
 
 
-def run_pairs(parent: Worker, change: Worker, pairs: int, seed: int = BASE_SEED) -> list[tuple[int, float, float]]:
+def run_pairs(parent: Worker, change: Worker, pairs: int) -> list[tuple[int, float, float]]:
     """(seed, parent seconds, change seconds) of each pair: the mean of two
     rounds per tree, run in ABBA order."""
     out = []
-    for k in range(1, pairs + 1):
-        a, b = (parent, change) if k % 2 else (change, parent)
-        times = {a: a.round_s(seed + k), b: b.round_s(seed + k)}
-        times[b] += b.round_s(seed + k)
-        times[a] += a.round_s(seed + k)
-        out.append((seed + k, times[parent] / 2, times[change] / 2))
+    for seed in range(BASE_SEED + 1, BASE_SEED + pairs + 1):
+        a, b = (parent, change) if seed % 2 else (change, parent)
+        times = {a: a.round_s(seed), b: b.round_s(seed)}
+        times[b] += b.round_s(seed)
+        times[a] += a.round_s(seed)
+        out.append((seed, times[parent] / 2, times[change] / 2))
     return out
 
 
