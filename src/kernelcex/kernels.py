@@ -13,12 +13,14 @@ formula once, on stacks; ``Composed`` maps each stack once with
 ``SymmetryMap.apply_many``; ``OffsetKernel`` and ``ZeroKernel`` shift or
 replace a block. A matrix kernel is a grid of scalar kernels, and its block
 is the grid of entry blocks in coordinate-major layout on the last two axes,
-with the blocks of ``ZeroKernel`` entries left zero and never evaluated; so
-a scalar projection K_v is the sesquilinear combination sum_ij conj(v_i) v_j
-of entry blocks. Pointwise ``eval`` is ``block`` on one-point stacks,
-``pair_values`` is ``block`` on a stack of one-point rows, and ``gram``
-(``grams`` on a stack of point sets) is ``block`` of a stack with itself
-after one distinctness check.
+with the blocks of ``ZeroKernel`` entries left zero and never evaluated; so a
+scalar projection K_v is the sesquilinear combination sum_ij conj(v_i) v_j of
+entry blocks, contracted in one place, ``_projected``, for
+``ProjectedKernel`` and the harness's projection sweeps and embed-check
+alike. Pointwise ``eval`` is ``block`` on one-point stacks, ``pair_values``
+is ``block`` on a stack of one-point rows, and ``gram`` (``grams`` on a stack
+of point sets) is ``block`` of a stack with itself after one distinctness
+check.
 Non-finite kernel values (an overflowing exponential, say) raise
 ``NonFiniteValue``. The declared type of a kernel's ``space`` field (a union
 where it acts on several) is the rule for where it acts; ``check_space``
@@ -273,6 +275,16 @@ class MatrixKernel:
         return _finite(self.block(self.space.stack([x]), self.space.stack([y]))).astype(np.complex128)
 
 
+def _projected(values, vectors) -> np.ndarray:
+    """The projections sum_ij conj(v_i) v_j K_ij of a matrix kernel's coordinate-major
+    block ``values``, shape (..., ell n, ell m), onto the rows v of ``vectors``, shape
+    (..., V, ell), as one (..., V, n, m) array; the leading axes broadcast."""
+    ell = vectors.shape[-1]
+    *lead, rows, cols = values.shape
+    blocked = values.reshape(*lead, ell, rows // ell, ell, cols // ell)
+    return np.einsum("...vi,...iajb,...vj->...vab", vectors.conj(), blocked, vectors)
+
+
 @dataclass(frozen=True)
 class ProjectedKernel(ScalarKernel):
     """Scalar projection K_v(x, y) = <K(x, y) v, v> of a matrix kernel."""
@@ -291,11 +303,7 @@ class ProjectedKernel(ScalarKernel):
         return self.matrix.space
 
     def block(self, X, Y) -> np.ndarray:
-        # sum_ij conj(v_i) v_j K_ij(X, Y), contracted from the grid's block.
-        ell = self.matrix.ell
-        *lead, n = _stack_shape(self.space, X)
-        blocked = self.matrix.block(X, Y).reshape(*lead, ell, n, ell, _stack_shape(self.space, Y)[-1])
-        return np.einsum("i,...iajb,j->...ab", self._vec.conj(), blocked, self._vec)
+        return _projected(self.matrix.block(X, Y), self._vec[None])[..., 0, :, :]
 
 
 def project(kernel: MatrixKernel, v) -> ProjectedKernel:
@@ -355,46 +363,40 @@ def _largest_norm(values: np.ndarray) -> float:
     return float(np.max(np.linalg.norm(values, axis=(1, 2)), initial=0.0))
 
 
-def _probe_stacks(kernel, maps, probes):
-    space = kernel.space
+def _invariance(kernel, maps, probes, tol, value_pairs) -> InvarianceEvidence:
+    """The largest ||a - b||, and the largest norm of a or b, over the value pairs
+    (a, b) that ``value_pairs(maps, X, Y)`` yields for the probe pairs' stacks."""
+    maps, probes = list(maps), list(probes)
     for phi in maps:
-        if phi.space != space:
+        if phi.space != kernel.space:
             raise SpaceMismatch("maps must act on the kernel's space")
-    return space.stack([x for x, _ in probes]), space.stack([y for _, y in probes])
+    X = kernel.space.stack([x for x, _ in probes])
+    Y = kernel.space.stack([y for _, y in probes])
+    max_resid = scale = 0.0
+    for a, b in value_pairs(maps, X, Y):
+        scale = max(scale, _largest_norm(a), _largest_norm(b))
+        max_resid = max(max_resid, _largest_norm(a - b))
+    return InvarianceEvidence(
+        max_residual=max_resid, scale=scale, tol=tol, n_probes=len(probes), n_maps=len(maps)
+    )
 
 
 def check_unitary_invariance(kernel, maps, probes, tol: float = RESID_TOL) -> InvarianceEvidence:
     """Measure max ||K(phi(x), phi(y)) - K(x, y)|| over probe pairs."""
-    maps = list(maps)
-    probes = list(probes)
-    X, Y = _probe_stacks(kernel, maps, probes)
-    base = pair_values(kernel, X, Y)
-    scale = _largest_norm(base)
-    max_resid = 0.0
-    for phi in maps:
-        moved = pair_values(kernel, phi.apply_many(X), phi.apply_many(Y))
-        scale = max(scale, _largest_norm(moved))
-        max_resid = max(max_resid, _largest_norm(moved - base))
-    return InvarianceEvidence(
-        max_residual=max_resid, scale=scale, tol=tol, n_probes=len(probes), n_maps=len(maps)
-    )
+    def moved(maps, X, Y):
+        base = pair_values(kernel, X, Y)
+        yield base, base  # the unmoved values set the scale even without maps
+        for phi in maps:
+            yield pair_values(kernel, phi.apply_many(X), phi.apply_many(Y)), base
+    return _invariance(kernel, maps, probes, tol, moved)
 
 
 def check_adjoint_invariance(kernel, maps, probes, tol: float = RESID_TOL) -> InvarianceEvidence:
     """Measure max ||K(x, phi(y)) - K(phi*(x), y)|| over probe pairs."""
-    maps = list(maps)
-    probes = list(probes)
-    X, Y = _probe_stacks(kernel, maps, probes)
-    for phi in maps:
-        if phi.adjoint is None:
-            raise MissingAdjoint(f"{phi.action_kind} carries no involution partner")
-    max_resid = 0.0
-    scale = 0.0
-    for phi in maps:
-        left = pair_values(kernel, X, phi.apply_many(Y))
-        right = pair_values(kernel, phi.adjoint.apply_many(X), Y)
-        scale = max(scale, _largest_norm(left), _largest_norm(right))
-        max_resid = max(max_resid, _largest_norm(left - right))
-    return InvarianceEvidence(
-        max_residual=max_resid, scale=scale, tol=tol, n_probes=len(probes), n_maps=len(maps)
-    )
+    def swapped(maps, X, Y):
+        for phi in maps:
+            if phi.adjoint is None:
+                raise MissingAdjoint(f"{phi.action_kind} carries no involution partner")
+        for phi in maps:
+            yield pair_values(kernel, X, phi.apply_many(Y)), pair_values(kernel, phi.adjoint.apply_many(X), Y)
+    return _invariance(kernel, maps, probes, tol, swapped)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kernelcex.counterexample import build_adjoint, build_shifted, build_unitary, embed
-from kernelcex.errors import DuplicatePoints, MissingAdjoint, NonFiniteValue, ZeroVector
+from kernelcex.errors import DuplicatePoints, MissingAdjoint, NonFiniteValue, SpaceMismatch, ZeroVector
 from kernelcex.kernels import (
     CircleExpCos,
     Composed,
@@ -15,6 +15,7 @@ from kernelcex.kernels import (
     OffsetKernel,
     TorusProduct,
     ZeroKernel,
+    _projected,
     check_adjoint_invariance,
     check_unitary_invariance,
     gram,
@@ -183,6 +184,76 @@ def test_projection_gram_is_contraction_of_blocked_gram():
     np.testing.assert_allclose(direct, contracted, atol=1e-12)
 
 
+def _projection_grids():
+    """Matrix kernels with ell = 1, 2 and 3, with real and with complex values."""
+    group = FiniteAbelian((3, 4))
+    torus = TorusProduct(CIRCLE)
+    circle_grid, _, _ = _circle_counterexample()
+
+    def fourier(c):
+        return GroupFourier(group, tuple(c / (1 + g) + 0.3j * c * math.sin(g) for g in range(group.order)))
+
+    return {
+        "ell1-real": MatrixKernel(CIRCLE, 1, ((CircleExpCos(CIRCLE),),)),
+        "ell1-complex": MatrixKernel(CIRCLE, 1, ((torus,),)),
+        "ell2-real": circle_grid,
+        "ell2-complex": MatrixKernel(
+            CIRCLE, 2, ((torus, ZeroKernel(CIRCLE)), (Composed(torus, CircleRotation(CIRCLE, 0.5)), torus))
+        ),
+        "ell3-real": embed(circle_grid, 3, CircleExpCos(CIRCLE)),
+        "ell3-complex": MatrixKernel(
+            group, 3, tuple(tuple(fourier(1 + i - 2 * j) for j in range(3)) for i in range(3))
+        ),
+    }
+
+
+PROJECTION_GRIDS = _projection_grids()
+
+
+def _double_sum(values, v, n, m):
+    """sum_ij conj(v_i) v_j of the (n, m) blocks of a coordinate-major block, one block at a time."""
+    out = np.zeros(values.shape[:-2] + (n, m), dtype=np.complex128)
+    for i in range(len(v)):
+        for j in range(len(v)):
+            out += np.conj(v[i]) * v[j] * values[..., i * n : (i + 1) * n, j * m : (j + 1) * m]
+    return out
+
+
+@pytest.mark.parametrize("lead", [(), (2, 3)], ids=["one-set", "stacked"])
+@pytest.mark.parametrize("name", sorted(PROJECTION_GRIDS))
+def test_projected_block_is_the_double_sum_and_the_old_einsum(name, lead):
+    kernel = PROJECTION_GRIDS[name]
+    rng = np.random.default_rng(5)
+    X, Y = _point_sets(kernel.space, rng, lead, 4), _point_sets(kernel.space, rng, lead, 3)
+    v = rng.normal(size=kernel.ell) + 1j * rng.normal(size=kernel.ell)
+    got = project(kernel, v).block(X, Y)
+    values = kernel.block(X, Y)
+    want = _double_sum(values, v, 4, 3)
+    assert got.shape == (*lead, 4, 3)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * np.max(np.abs(want)))
+    # Bit for bit the einsum ProjectedKernel.block was first written with.
+    blocked = values.reshape(*lead, kernel.ell, 4, kernel.ell, 3)
+    np.testing.assert_array_equal(got, np.einsum("i,...iajb,j->...ab", v.conj(), blocked, v))
+
+
+@pytest.mark.parametrize("per_slice", [False, True], ids=["shared", "per-slice"])
+@pytest.mark.parametrize("lead", [(), (2, 3)], ids=["one-set", "stacked"])
+@pytest.mark.parametrize("name", sorted(PROJECTION_GRIDS))
+def test_projected_contracts_every_vector_as_the_double_sum(name, lead, per_slice):
+    kernel = PROJECTION_GRIDS[name]
+    rng = np.random.default_rng(8)
+    values = kernel.block(_point_sets(kernel.space, rng, lead, 4), _point_sets(kernel.space, rng, lead, 3))
+    shape = (*lead, 5, kernel.ell) if per_slice else (5, kernel.ell)
+    vectors = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    got = _projected(values, vectors)
+    assert got.shape == (*lead, 5, 4, 3)
+    for index in np.ndindex(*lead):
+        for k in range(5):
+            v = vectors[index][k] if per_slice else vectors[k]
+            want = _double_sum(values[index], v, 4, 3)
+            np.testing.assert_allclose(got[index][k], want, rtol=0, atol=1e-14 * np.max(np.abs(want)))
+
+
 @pytest.mark.parametrize(
     "kernel,space",
     [
@@ -278,6 +349,31 @@ def test_adjoint_invariance_pass_and_fail():
     bare = [EuclideanTranslation(space, (0.7, -0.2))]
     with pytest.raises(MissingAdjoint):
         check_adjoint_invariance(DotExp(space), bare, pairs)
+
+
+def test_invariance_checks_without_maps_keep_their_scales():
+    probes = [(0.1, 0.5), (1.0, 2.0)]
+    unitary = check_unitary_invariance(CircleExpCos(CIRCLE), [], probes)
+    # The unmoved values set the scale even when no map is checked.
+    assert unitary.scale == CircleExpCos(CIRCLE).eval(0.1, 0.5).real == pytest.approx(2.5119541448556304, rel=1e-15)
+    assert (unitary.max_residual, unitary.n_maps, unitary.n_probes) == (0.0, 0, 2)
+    adjoint = check_adjoint_invariance(CircleExpCos(CIRCLE), [], probes)
+    assert (adjoint.scale, adjoint.max_residual, adjoint.n_maps, adjoint.n_probes) == (0.0, 0.0, 0, 2)
+
+
+def test_adjoint_invariance_error_precedence():
+    probes = [((0.1,), (0.5,))]
+    # A map on another space is refused before its missing adjoint is seen.
+    with pytest.raises(SpaceMismatch):
+        check_adjoint_invariance(Gaussian(LINE), [CircleRotation(CIRCLE, 1.0, adjoint_kind=None)], probes)
+    # Every map's adjoint is checked before any kernel value is computed.
+    overflowing = DotExp(LINE, scale=1000.0)
+    with pytest.raises(NonFiniteValue):
+        check_adjoint_invariance(overflowing, [EuclideanScaling(LINE, 2.0)], [((1.0,), (1.0,))])
+    with pytest.raises(MissingAdjoint):
+        check_adjoint_invariance(
+            overflowing, [EuclideanScaling(LINE, 2.0), EuclideanTranslation(LINE, (0.5,))], [((1.0,), (1.0,))]
+        )
 
 
 def _grid_cases():
